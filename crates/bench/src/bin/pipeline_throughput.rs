@@ -1,14 +1,11 @@
-//! Measures parallel test-generation wall-clock scaling on the largest
-//! bundled stand-in and writes the result to `BENCH_pipeline.json`.
+//! Measures test-generation wall-clock time on the largest bundled
+//! stand-in and writes the result to `BENCH_pipeline.json`.
 //!
-//! The figure of merit is the end-to-end enrichment-generation time at
-//! 1/2/4/8 worker threads over the same fault population. Every pooled
-//! run is asserted byte-identical to the single-threaded reference (test
-//! text, detection counts, justification counters) before its time is
-//! recorded — a scaling number from a run that diverged would be
-//! meaningless. The report also records the auto-selected packed tile
-//! width alongside a per-width coverage timing of the generated test
-//! set, so the width calibration is auditable from the same artifact.
+//! The figure of merit is the end-to-end enrichment-generation time over
+//! one fault population. The report also records the auto-selected
+//! packed tile width alongside a per-width coverage timing of the
+//! generated test set, so the width calibration is auditable from the
+//! same artifact.
 //! Run with `--release` (ideally `RUSTFLAGS="-C target-cpu=native"`);
 //! circuit and workload can be overridden via `PDF_BENCH_CIRCUIT`,
 //! `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
@@ -64,56 +61,15 @@ fn main() {
     let s = setup(&circuit_name, n_p, n_p0);
     let budget = bench_budget();
 
-    let generate = |threads: usize| {
-        let config = AtpgConfig {
-            sim,
-            threads,
-            ..AtpgConfig::default()
-        };
-        EnrichmentAtpg::new(&s.circuit)
-            .with_config(config)
-            .run(&s.split)
+    let config = AtpgConfig {
+        sim,
+        ..AtpgConfig::default()
     };
-
-    // The single-threaded reference: every pooled run must reproduce it
-    // byte for byte before its wall-clock counts.
-    let (serial_s, reference) = measure(&budget, || generate(1));
-    let reference_text = reference.tests().to_text();
-
-    let mut curve = Json::object();
-    let mut curve_rows = vec![(1_usize, serial_s)];
-    for threads in [2_usize, 4, 8] {
-        let (seconds, outcome) = measure(&budget, || generate(threads));
-        assert_eq!(
-            outcome.tests().to_text(),
-            reference_text,
-            "{threads}-thread test set diverged from the serial reference"
-        );
-        assert_eq!(
-            outcome.detected_total(),
-            reference.detected_total(),
-            "{threads}-thread detection diverged"
-        );
-        assert_eq!(
-            outcome.stats().justify,
-            reference.stats().justify,
-            "{threads}-thread justification counters diverged"
-        );
-        curve_rows.push((threads, seconds));
-    }
-    let mut speedup_at_4 = 1.0;
-    for &(threads, seconds) in &curve_rows {
-        let speedup = serial_s / seconds;
-        if threads == 4 {
-            speedup_at_4 = speedup;
-        }
-        curve = curve.field(
-            &threads.to_string(),
-            Json::object()
-                .field("seconds", seconds)
-                .field("speedup_vs_single", speedup),
-        );
-    }
+    let (generate_s, reference) = measure(&budget, || {
+        EnrichmentAtpg::new(&s.circuit)
+            .with_config(config.clone())
+            .run(&s.split)
+    });
 
     // Width calibration row: coverage of the generated test set at every
     // packed tile width, plus the width `auto` resolved to.
@@ -131,32 +87,21 @@ fn main() {
     }
 
     println!(
-        "pipeline_throughput {circuit_name}: {} faults, {} tests; 1t {serial_s:.3}s, \
-         4t speedup {speedup_at_4:.2}x, auto width {}",
+        "pipeline_throughput {circuit_name}: {} faults, {} tests; generate {generate_s:.3}s, \
+         auto width {}",
         s.faults.len(),
         tests.len(),
         SimWidth::auto().lanes(),
     );
-    for &(threads, seconds) in &curve_rows {
-        println!(
-            "  threads {threads}: {seconds:.3}s ({:.2}x)",
-            serial_s / seconds
-        );
-    }
 
-    // Scaling is bounded by the machine: a 1-core runner records ~1x at
-    // every count, so the curve is only meaningful next to `cores`.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let report = Json::object()
         .field("schema", "pdf-bench-pipeline")
         .field("circuit", circuit_name.as_str())
-        .field("cores", cores)
         .field("lines", s.circuit.line_count())
         .field("faults", s.faults.len())
         .field("tests", tests.len())
         .field("detected", reference.detected_total())
-        .field("threads_curve", curve)
-        .field("speedup_at_4", speedup_at_4)
+        .field("generate_seconds", generate_s)
         .field("auto_width", SimWidth::auto().lanes())
         .field("width", sim.width.lanes())
         .field("per_width", per_width);

@@ -52,8 +52,8 @@ pub mod sites {
     pub const TELEMETRY_FLUSH: &str = "telemetry.flush";
     /// Netlist file reads in the CLI.
     pub const NETLIST_READ: &str = "netlist.read";
-    /// Worker-side test-cube builds (keyed by fault index; a firing
-    /// entry panics the build, feeding the quarantine path).
+    /// Justification calls of a test build (keyed by fault index; a
+    /// firing entry panics the call, feeding the quarantine path).
     pub const POOL_BUILD: &str = "pool.build";
     /// All known sites, for validation and docs.
     pub const ALL: [&str; 5] = [

@@ -59,7 +59,7 @@ COMMANDS:
                         [--checkpoint-every K] [--resume FILE] [--static-learning]
                         [--sensitize] [--scoap]
                         [--sim-width 64|256|512|auto] [--sim-events on|off]
-                        [--threads N] [--failpoints SPEC]
+                        [--failpoints SPEC]
                                      generate a (optionally enriched) robust test
                                      set; exits 5 when --resume finds only
                                      corrupt checkpoint generations
@@ -83,10 +83,6 @@ ENVIRONMENT:
                           not change (--sim-events overrides)
     PDF_SIM_THREADS       worker-thread count for fault-simulation fan-outs
                           (default: all available cores)
-    PDF_THREADS           worker-thread count for atpg test generation
-                          (default 1; --threads overrides); the test set,
-                          counters and checkpoints are byte-identical at
-                          every thread count
     PDF_LINT              `deny` (default), `warn`, or `off`: whether the
                           automatic structural lint after circuit loading
                           aborts on errors, prints them, or is skipped
@@ -863,37 +859,6 @@ fn parsed_with_env<T: std::str::FromStr>(
     }
 }
 
-/// Resolves a positive-integer knob with an environment twin: flag wins,
-/// env applies otherwise. Both reject `0` and unparsable values at config
-/// parse with the variable+value fail-fast message, and the env twin is
-/// validated even when the flag overrides it.
-fn positive_with_env(
-    options: &Options,
-    flag: &str,
-    env: &str,
-    default: usize,
-) -> Result<usize, CliError> {
-    let parse = |raw: &str, name: &str| -> Result<usize, CliError> {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(CliError::new(format!(
-                "invalid {name}=`{raw}`: expected a positive integer"
-            ))),
-        }
-    };
-    let env_value = match std::env::var(env) {
-        Ok(raw) => Some(parse(&raw, env)?),
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            return err(format!("invalid {env}={raw:?}: not valid unicode"))
-        }
-    };
-    match options.value(flag) {
-        Some(raw) => parse(raw, &format!("--{flag}")),
-        None => Ok(env_value.unwrap_or(default)),
-    }
-}
-
 /// Resolves a string knob with an environment twin: flag wins, env
 /// applies otherwise.
 fn string_with_env(options: &Options, flag: &str, env: &str) -> Result<Option<String>, CliError> {
@@ -1081,7 +1046,6 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
         "PDF_CONE_CACHE",
         pdf_atpg::DEFAULT_CONE_CACHE,
     )?;
-    let threads = positive_with_env(options, "threads", "PDF_THREADS", 1)?;
     // Installed before run control so an armed `checkpoint.read` entry
     // already covers the --resume load. The PDF_FAILPOINTS twin was
     // validated (and installed) at startup; the flag re-installs over it.
@@ -1120,7 +1084,6 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
         checkpoint,
         learned: table.clone(),
         guide: guide.clone(),
-        threads,
         ..AtpgConfig::default()
     };
 
@@ -1409,7 +1372,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     "resume",
                     "sim-width",
                     "sim-events",
-                    "threads",
                     "failpoints",
                 ],
                 &[

@@ -198,51 +198,6 @@ fn cone_cache_env_twin_is_honored_and_validated() {
     });
 }
 
-// --- --threads / PDF_THREADS --------------------------------------------
-
-#[test]
-fn threads_zero_flag_is_rejected_at_parse() {
-    with_env(&[("PDF_THREADS", None)], || {
-        let e = pdf_cli::run(&args(&["atpg", "s27", "--np0", "10", "--threads", "0"])).unwrap_err();
-        assert!(
-            e.message.contains("invalid --threads=`0`"),
-            "fail-fast variable+value message expected, got: {e}"
-        );
-        assert!(e.message.contains("positive integer"), "{e}");
-    });
-}
-
-#[test]
-fn threads_zero_env_is_rejected_at_parse() {
-    with_env(&[("PDF_THREADS", Some("0"))], || {
-        let e = pdf_cli::run(&args(&["atpg", "s27", "--np0", "10"])).unwrap_err();
-        assert!(e.message.contains("invalid PDF_THREADS=`0`"), "{e}");
-        assert!(e.message.contains("positive integer"), "{e}");
-    });
-}
-
-#[test]
-fn garbage_threads_env_aborts_even_under_a_flag_override() {
-    with_env(&[("PDF_THREADS", Some("many"))], || {
-        let e = pdf_cli::run(&args(&["atpg", "s27", "--np0", "10", "--threads", "4"])).unwrap_err();
-        assert!(e.message.contains("invalid PDF_THREADS=`many`"), "{e}");
-    });
-}
-
-#[test]
-fn threads_flag_beats_env_and_output_is_thread_count_invariant() {
-    // The resolved thread count changes only the schedule, never the
-    // output: a 4-thread run (flag overriding the env twin) must print
-    // the exact same report as the single-threaded default.
-    let serial = with_env(&[("PDF_THREADS", None)], || {
-        pdf_cli::run(&args(&["atpg", "s27", "--np0", "10"])).unwrap()
-    });
-    let pooled = with_env(&[("PDF_THREADS", Some("2"))], || {
-        pdf_cli::run(&args(&["atpg", "s27", "--np0", "10", "--threads", "4"])).unwrap()
-    });
-    assert_eq!(serial, pooled, "outputs must be byte-identical");
-}
-
 // --- --time-budget / PDF_TIME_BUDGET ------------------------------------
 
 #[test]

@@ -11,30 +11,23 @@
 //! further sets of a k-set split), so the number of tests stays determined
 //! by `P_0` alone while `P_1` detections come for free.
 //!
-//! # Round-based parallel generation
+//! # Sequential generation
 //!
-//! The fault loop is organized in **rounds**. Each round selects up to
-//! [`AtpgConfig::batch`] eligible primaries from the committed state,
-//! builds a candidate test for every one of them speculatively — each
-//! build is a pure function of `(committed state, primary)` — and then
-//! commits the results strictly in selection order. The builds are
-//! sharded across a persistent [`pdf_pool`] worker pool whose
-//! sequence-number reorder buffer delivers them back in that order, so
-//! the committed outcome (test set, flags, counters, checkpoints) is
-//! byte-identical for any [`AtpgConfig::threads`] value and any steal
-//! schedule. A build whose primary was meanwhile detected by an earlier
-//! commit of the same round is discarded whole (counted in
-//! [`AtpgStats::builds_discarded`]); everything else lands exactly as a
-//! single-threaded round would have landed it.
+//! The fault loop follows the paper one primary at a time: make one
+//! counted budget poll, pick the next eligible primary, build a test
+//! around it against the committed state, then commit the result — sweep
+//! the finished test over every fault and drop what it detects. Each
+//! build runs a fresh justifier seeded from `(seed, primary)`, so a
+//! resumed run re-derives the same builds from the committed flags alone.
+//! A build that observes an exhausted budget ends the run without being
+//! committed: the finalized set is a prefix of the uninterrupted run's.
 
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use pdf_faults::{Assignments, FaultEntry, FaultList};
 use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineId, SplitMix64};
-use pdf_pool::{Control, PoolOptions};
 use pdf_runctl::{Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
 
 use pdf_sim::SimOptions;
@@ -134,20 +127,19 @@ pub struct AtpgConfig {
     /// seed; a bare [`SimBackend`] converts via `.into()`.
     pub sim: SimOptions,
     /// Capacity of the justifier's cone-topology LRU cache (entries);
-    /// `0` disables caching. Each worker keeps its own cache — there is
-    /// no shared mutable simulation state between builds.
+    /// `0` disables caching. Every build starts with an empty cache of
+    /// its own.
     pub cone_cache: usize,
     /// Cooperative time/cancellation budget. An exhausted budget makes the
-    /// run stop targeting new faults, roll the round in flight back to the
-    /// last committed boundary, and finalize the partial test set with
-    /// [`AtpgOutcome::budget_exhausted`] set. Counted exhaustion polls
-    /// happen at round-selection granularity on the commit thread only;
-    /// builds observe the budget through non-consuming peek views, so the
-    /// poll sequence — and with it the output — is identical for every
-    /// thread count.
+    /// run stop targeting new faults, drop the build in flight uncommitted,
+    /// and finalize the partial test set with
+    /// [`AtpgOutcome::budget_exhausted`] set. The run makes one counted
+    /// exhaustion poll per primary; builds observe the budget through
+    /// non-consuming peek views, so the poll sequence depends only on how
+    /// many primaries were targeted.
     pub budget: RunBudget,
     /// Crash-safe checkpointing: when set, run state is persisted
-    /// atomically to the policy's file after every round that brings the
+    /// atomically to the policy's file after every primary that brings the
     /// completed-test count at least `every` past the last write (plus
     /// once when the run ends). Feed the file back through a
     /// `run_resumed` call to continue an interrupted run.
@@ -175,22 +167,10 @@ pub struct AtpgConfig {
     /// it composes with the compaction heuristics). Changes the random
     /// stream, so the checkpoint fingerprint records the guide's presence.
     pub guide: Option<std::sync::Arc<BranchGuide>>,
-    /// Worker threads for the per-round speculative builds. `0` and `1`
-    /// both run builds inline on the caller's thread. The value is
-    /// deliberately **not** part of the checkpoint fingerprint: the test
-    /// set, flags, counters and checkpoints are byte-identical for every
-    /// thread count, so a run may be interrupted at one count and resumed
-    /// at another.
+    /// Ignored by generation, which builds one test at a time on the
+    /// caller's thread. Kept so callers that still set it compile; it is
+    /// not part of the checkpoint fingerprint.
     pub threads: usize,
-    /// Primaries speculatively built per round. Outputs *do* depend on
-    /// this value (a larger batch speculates further past each commit),
-    /// so it is pinned in the checkpoint fingerprint. `0` is treated
-    /// as `1`.
-    pub batch: usize,
-    /// Test instrumentation: forces the pool's pathological steal
-    /// schedule (workers prefer stealing over their own deque). Results
-    /// must not change; the differential tests flip this to prove it.
-    pub force_steal: bool,
 }
 
 impl Default for AtpgConfig {
@@ -208,28 +188,24 @@ impl Default for AtpgConfig {
             learned: None,
             guide: None,
             threads: 1,
-            batch: 8,
-            force_steal: false,
         }
     }
 }
 
 /// The configuration facets a checkpoint pins: resuming under a different
-/// compaction heuristic, secondary mode, attempt count, backend or round
-/// batch size would silently diverge from the interrupted run, so resume
-/// refuses them. Tile width, event mode and the thread count are
-/// deliberately *not* pinned: witnesses are byte-identical across them,
-/// so resuming a run on a machine with a different vector width or core
-/// count is safe.
+/// compaction heuristic, secondary mode, attempt count or backend would
+/// silently diverge from the interrupted run, so resume refuses them.
+/// Tile width and event mode are deliberately *not* pinned: witnesses are
+/// byte-identical across them, so resuming a run on a machine with a
+/// different vector width is safe.
 #[must_use]
 pub fn config_fingerprint(config: &AtpgConfig) -> String {
     let mut fp = format!(
-        "{}:{}:{}:{}:batch={}",
+        "{}:{}:{}:{}",
         config.compaction.label(),
         config.secondary_mode.label(),
         config.justify_attempts,
         config.sim.backend,
-        config.batch.max(1)
     );
     if let Some(table) = &config.learned {
         // A learned table changes which secondaries reach justification
@@ -264,9 +240,9 @@ pub struct AtpgStats {
     pub faults_quarantined: usize,
     /// Checkpoint files written (including the final one).
     pub checkpoints_written: usize,
-    /// Speculative round builds dropped whole because an earlier commit
-    /// of the same round already detected (or quarantined) their primary.
-    /// Their work never enters the other counters.
+    /// Always 0: builds run one at a time against the committed state, so
+    /// none is ever discarded. Kept for callers that still read it and as
+    /// a checkpoint counter.
     pub builds_discarded: usize,
     /// Justifier counters.
     pub justify: JustifyStats,
@@ -275,9 +251,9 @@ pub struct AtpgStats {
 impl AtpgStats {
     /// Merges the delta counters a committed build accumulated. The
     /// session-owned counters (`faults_quarantined`,
-    /// `checkpoints_written`, `builds_discarded`) are never merged from
-    /// builds — quarantine transitions are counted at commit and the
-    /// other two only ever happen on the commit thread.
+    /// `checkpoints_written`) are never merged from builds — quarantine
+    /// transitions are counted at commit and checkpoints are written
+    /// between builds.
     fn absorb_build(&mut self, build: &AtpgStats) {
         self.aborted_primaries += build.aborted_primaries;
         self.secondary_accepts += build.secondary_accepts;
@@ -575,9 +551,8 @@ impl<'c> EnrichmentAtpg<'c> {
     }
 }
 
-/// The read-only run context every worker shares: circuit, configuration
-/// and the fault population. Nothing in here changes after construction,
-/// which is what lets builds run concurrently without locks.
+/// The read-only run context: circuit, configuration and the fault
+/// population. Nothing in here changes after construction.
 struct SessionCtx<'c, 'f> {
     circuit: &'c Circuit,
     config: AtpgConfig,
@@ -595,9 +570,8 @@ impl SessionCtx<'_, '_> {
     }
 }
 
-/// The committed run state. Mutated only on the commit thread, only
-/// between rounds or while applying one build result; round boundaries
-/// are the sole checkpointable (and rollback) points.
+/// The committed run state. Mutated only between builds, when one build
+/// result is committed; those boundaries are the checkpointable points.
 struct SessionState {
     detected: Vec<bool>,
     aborted: Vec<bool>,
@@ -610,8 +584,7 @@ struct SessionState {
     /// A checkpoint write already failed and was reported (warn once).
     checkpoint_warned: bool,
     /// Generation of the last checkpoint written (or resumed from); the
-    /// next save stamps `generation + 1`. Save counts are deterministic
-    /// per configuration, so checkpoint bytes stay schedule-independent.
+    /// next save stamps `generation + 1`.
     checkpoint_generation: u64,
 }
 
@@ -621,24 +594,9 @@ struct Session<'c, 'f> {
     state: SessionState,
 }
 
-/// The committed flags a round's builds all read. Frozen at round start;
-/// rolling a cut round back restores exactly this.
-struct RoundSnapshot {
-    detected: Vec<bool>,
-    aborted: Vec<bool>,
-    quarantined: Vec<bool>,
-}
-
-/// One unit of pool work: build a candidate test around `primary`
-/// against the round's committed snapshot.
-struct BuildJob {
-    primary: usize,
-    snapshot: Arc<RoundSnapshot>,
-}
-
-/// What one speculative build produced.
+/// What one build produced.
 enum BuildOutcome {
-    /// A finished candidate test (to be swept and pushed at commit).
+    /// A finished test (to be swept and pushed at commit).
     Test(Justified),
     /// The primary failed justification: abort it.
     Aborted,
@@ -646,36 +604,35 @@ enum BuildOutcome {
     /// the detail is in the build's quarantine log.
     PrimaryQuarantined,
     /// The build observed an exhausted budget (through its peek view)
-    /// and stopped early. The whole round is rolled back: a truncated
-    /// build says nothing reproducible about its primary.
+    /// and stopped early. It ends the run uncommitted: a truncated build
+    /// says nothing reproducible about its primary.
     Cut,
 }
 
-/// A build's result as delivered through the reorder buffer.
+/// A build's result, committed only if it is not [`BuildOutcome::Cut`].
 struct BuildResult {
     primary: usize,
     outcome: BuildOutcome,
-    /// Delta counters this build accumulated (merged only if committed).
+    /// Delta counters this build accumulated.
     stats: AtpgStats,
     /// Faults this build saw panic, with the context string the commit
-    /// thread reports on the first (committing) observation.
+    /// reports.
     quarantined: Vec<(usize, String)>,
 }
 
 /// Decorrelated per-primary justifier seed: every build draws from its
 /// own stream, so a build's randomness depends only on the run seed and
-/// its primary — never on which builds ran before it or where.
+/// its primary — never on which builds ran before it.
 fn build_seed(seed: u64, primary: usize) -> u64 {
     seed ^ (primary as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// One speculative build: the per-fault pipeline (primary justification,
-/// secondary folding) evaluated against a frozen snapshot. Local flag
-/// copies keep the bookkeeping identical to the historical inline code;
-/// nothing here touches shared mutable state.
+/// One build: the per-fault pipeline (primary justification, secondary
+/// folding) evaluated against the committed state. Local flag copies let
+/// a cut build leave the committed state untouched.
 struct Build<'a, 'c, 'f> {
     ctx: &'a SessionCtx<'c, 'f>,
-    /// Abort flags from the snapshot (builds never abort other faults).
+    /// Committed abort flags (builds never abort other faults).
     aborted: &'a [bool],
     detected: Vec<bool>,
     quarantined: Vec<bool>,
@@ -689,13 +646,12 @@ struct Build<'a, 'c, 'f> {
     cut: bool,
 }
 
-/// Executes one build job. Pure in the functional sense: the result
-/// depends only on `(ctx, job.primary, job.snapshot)`.
-fn run_build<'c>(ctx: &SessionCtx<'c, '_>, job: BuildJob) -> BuildResult {
-    let BuildJob { primary, snapshot } = job;
+/// Builds a test around `primary`. The result depends only on `ctx`,
+/// the committed flags in `state` and `primary`.
+fn run_build<'c>(ctx: &SessionCtx<'c, '_>, state: &SessionState, primary: usize) -> BuildResult {
     let budget = ctx.config.budget.peek_view();
     // A fresh justifier per build: its RNG stream is a function of the
-    // primary alone, and its cone cache is private to this worker call.
+    // primary alone, and its cone cache starts empty.
     let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
         .with_attempts(ctx.config.justify_attempts)
         .with_options(ctx.config.sim)
@@ -706,9 +662,9 @@ fn run_build<'c>(ctx: &SessionCtx<'c, '_>, job: BuildJob) -> BuildResult {
     }
     let mut build = Build {
         ctx,
-        aborted: &snapshot.aborted,
-        detected: snapshot.detected.clone(),
-        quarantined: snapshot.quarantined.clone(),
+        aborted: &state.aborted,
+        detected: state.detected.clone(),
+        quarantined: state.quarantined.clone(),
         justifier,
         budget,
         stats: AtpgStats::default(),
@@ -735,7 +691,7 @@ impl<'c> Build<'_, 'c, '_> {
             }
             if self.budget.exhausted() {
                 // A budget-truncated search says nothing about the
-                // fault: the round is rolled back and the fault stays
+                // fault: the build is dropped and the fault stays
                 // unaborted for the resumed run.
                 return BuildOutcome::Cut;
             }
@@ -763,8 +719,7 @@ impl<'c> Build<'_, 'c, '_> {
     }
 
     /// Marks fault `i` quarantined for the rest of this build and logs it
-    /// for the commit thread, which owns the transition (counter, warning
-    /// line) on first observation.
+    /// for the commit, which owns the transition (counter, warning line).
     fn quarantine_fault(&mut self, i: usize, context: &str) {
         if self.quarantined[i] {
             return;
@@ -791,10 +746,9 @@ impl<'c> Build<'_, 'c, '_> {
         }
         let justifier = &mut self.justifier;
         match catch_unwind(AssertUnwindSafe(|| {
-            // The `pool.build` failpoint, keyed by fault index: firing
-            // depends only on the key, never on the worker schedule, so
-            // an injected panic quarantines the same fault at every
-            // thread count. Feeds the regular quarantine path below.
+            // The `pool.build` failpoint, keyed by fault index: an
+            // injected panic quarantines exactly that fault. Feeds the
+            // regular quarantine path below.
             if pdf_chaos::evaluate_keyed(pdf_chaos::sites::POOL_BUILD, i as u64).is_some() {
                 pdf_telemetry::count(pdf_telemetry::counters::FAILPOINTS_HIT, 1);
                 panic!("injected failpoint {}@{i}", pdf_chaos::sites::POOL_BUILD);
@@ -852,7 +806,7 @@ impl<'c> Build<'_, 'c, '_> {
         };
         for i in order {
             if self.budget.exhausted() {
-                self.cut = true; // the whole round is rolled back
+                self.cut = true; // the build is dropped uncommitted
                 return;
             }
             if self.eligible_secondary(i, primary) {
@@ -876,7 +830,7 @@ impl<'c> Build<'_, 'c, '_> {
         let mut considered = vec![false; hi - lo];
         loop {
             if self.budget.exhausted() {
-                self.cut = true; // the whole round is rolled back
+                self.cut = true; // the build is dropped uncommitted
                 return;
             }
             // Rank all unconsidered candidates by n_Δ against the current
@@ -1076,90 +1030,38 @@ impl<'c, 'f> Session<'c, 'f> {
         };
         state.last_checkpoint_at = state.completed;
 
-        let batch = ctx.config.batch.max(1);
-        let options = PoolOptions::new(ctx.config.threads).with_force_steal(ctx.config.force_steal);
-        let ctx_ref = &ctx;
-        let state_ref = &mut state;
-        let tests_ref = &mut test_set;
-        let stopped_early = pdf_pool::with_pool(
-            &options,
-            |job: BuildJob| run_build(ctx_ref, job),
-            move |pool| {
-                let mut stopped = false;
-                'rounds: loop {
-                    // Round selection: up to `batch` eligible primaries
-                    // from the committed state, one counted budget poll
-                    // per selection attempt. This is the only place the
-                    // run consumes budget polls, so the poll sequence is
-                    // independent of the thread count.
-                    let mut primaries: Vec<usize> = Vec::new();
-                    while primaries.len() < batch {
-                        if ctx_ref.config.budget.exhausted() {
-                            stopped = true;
-                            break 'rounds;
-                        }
-                        let Some(p) = next_primary(ctx_ref, state_ref, &primaries) else {
-                            break;
-                        };
-                        pdf_telemetry::count(pdf_telemetry::counters::FAULTS_TARGETED, 1);
-                        primaries.push(p);
-                    }
-                    if primaries.is_empty() {
-                        break; // natural end: nothing left to target
-                    }
-                    pdf_telemetry::count(pdf_telemetry::counters::POOL_ROUNDS, 1);
-                    let snapshot = Arc::new(RoundSnapshot {
-                        detected: state_ref.detected.clone(),
-                        aborted: state_ref.aborted.clone(),
-                        quarantined: state_ref.quarantined.clone(),
-                    });
-                    let round_stats = state_ref.stats;
-                    let round_completed = state_ref.completed;
-                    let round_tests = tests_ref.len();
-                    let jobs: Vec<BuildJob> = primaries
-                        .iter()
-                        .map(|&primary| BuildJob {
-                            primary,
-                            snapshot: Arc::clone(&snapshot),
-                        })
-                        .collect();
-                    let mut round_cut = false;
-                    pool.run_round(jobs, |_, result| {
-                        if matches!(result.outcome, BuildOutcome::Cut) {
-                            round_cut = true;
-                            return Control::Stop;
-                        }
-                        commit_result(ctx_ref, state_ref, tests_ref, result);
-                        Control::Continue
-                    });
-                    if round_cut {
-                        // A build hit the budget: the round's commits are
-                        // unwound to the boundary the snapshot describes,
-                        // so the finalized prefix is exactly what an
-                        // uninterrupted run would have committed by then.
-                        state_ref.detected.clone_from(&snapshot.detected);
-                        state_ref.aborted.clone_from(&snapshot.aborted);
-                        state_ref.quarantined.clone_from(&snapshot.quarantined);
-                        state_ref.stats = round_stats;
-                        state_ref.completed = round_completed;
-                        tests_ref.truncate(round_tests);
-                        stopped = true;
-                        break;
-                    }
-                    if let Some(policy) = &ctx_ref.config.checkpoint {
-                        if state_ref.completed - state_ref.last_checkpoint_at >= policy.every {
-                            write_checkpoint(ctx_ref, state_ref, tests_ref, false);
-                            state_ref.last_checkpoint_at = state_ref.completed;
-                        }
-                    }
+        let mut stopped = false;
+        loop {
+            // One counted budget poll per primary: the only place the run
+            // consumes polls.
+            if ctx.config.budget.exhausted() {
+                stopped = true;
+                break;
+            }
+            let Some(primary) = next_primary(&ctx, &state) else {
+                break; // natural end: nothing left to target
+            };
+            pdf_telemetry::count(pdf_telemetry::counters::FAULTS_TARGETED, 1);
+            let result = run_build(&ctx, &state, primary);
+            if matches!(result.outcome, BuildOutcome::Cut) {
+                // The build hit the budget: nothing of it is committed, so
+                // the finalized prefix is exactly what an uninterrupted run
+                // would have committed by now.
+                stopped = true;
+                break;
+            }
+            commit_result(&ctx, &mut state, &mut test_set, result);
+            if let Some(policy) = &ctx.config.checkpoint {
+                if state.completed - state.last_checkpoint_at >= policy.every {
+                    write_checkpoint(&ctx, &mut state, &test_set, false);
+                    state.last_checkpoint_at = state.completed;
                 }
-                stopped
-            },
-        );
+            }
+        }
 
-        if stopped_early && !ctx.config.budget.already_exhausted() {
+        if stopped && !ctx.config.budget.already_exhausted() {
             // The cut was observed through a non-latching peek view (a
-            // deadline expiring mid-round); consume one counted poll so
+            // deadline expiring mid-build); consume one counted poll so
             // the outcome and final checkpoint record the exhaustion.
             let _ = ctx.config.budget.exhausted();
         }
@@ -1181,19 +1083,16 @@ impl<'c, 'f> Session<'c, 'f> {
 }
 
 /// The next set-0 fault to build a test around: undetected, not yet
-/// tried as a primary, not quarantined, not already in this round's
-/// batch; longest-first except under the arbitrary order.
-fn next_primary(
-    ctx: &SessionCtx<'_, '_>,
-    state: &SessionState,
-    pending: &[usize],
-) -> Option<usize> {
-    ctx.primary_order.iter().copied().find(|&i| {
-        !state.detected[i] && !state.aborted[i] && !state.quarantined[i] && !pending.contains(&i)
-    })
+/// tried as a primary, not quarantined; longest-first except under the
+/// arbitrary order.
+fn next_primary(ctx: &SessionCtx<'_, '_>, state: &SessionState) -> Option<usize> {
+    ctx.primary_order
+        .iter()
+        .copied()
+        .find(|&i| !state.detected[i] && !state.aborted[i] && !state.quarantined[i])
 }
 
-/// Applies one build result to the committed state, in sequence order.
+/// Applies one finished build result to the committed state.
 fn commit_result(
     ctx: &SessionCtx<'_, '_>,
     state: &mut SessionState,
@@ -1206,26 +1105,12 @@ fn commit_result(
         stats,
         quarantined,
     } = result;
-    // Read the duplicate verdict before this build's quarantine log
-    // lands: a build that quarantined its own primary is the primary's
-    // own committed attempt, not a duplicate.
-    let duplicate = state.detected[primary] || state.quarantined[primary];
     for (i, context) in &quarantined {
         commit_quarantine(ctx, state, *i, context);
     }
-    if duplicate {
-        // An earlier commit of this round already detected (or
-        // quarantined) the primary. The speculative build is dropped
-        // whole — merging its counters would break the
-        // `tests + aborted primaries = justification calls` ledger the
-        // committed outcome maintains.
-        state.stats.builds_discarded += 1;
-        pdf_telemetry::count(pdf_telemetry::counters::POOL_BUILDS_DISCARDED, 1);
-        return;
-    }
     state.stats.absorb_build(&stats);
     match outcome {
-        BuildOutcome::Cut => unreachable!("cut results stop the round before commit"),
+        BuildOutcome::Cut => unreachable!("cut results end the run before commit"),
         BuildOutcome::Aborted => state.aborted[primary] = true,
         BuildOutcome::PrimaryQuarantined => {}
         BuildOutcome::Test(current) => {
@@ -1242,8 +1127,7 @@ fn commit_result(
 /// Marks fault `i` quarantined in the committed state: it panicked
 /// mid-processing and is skipped (never targeted, never offered as a
 /// secondary, never swept) for the rest of the run. Only the first
-/// observation counts and warns — later builds of the same round may
-/// rediscover the same panic.
+/// observation counts and warns.
 fn commit_quarantine(ctx: &SessionCtx<'_, '_>, state: &mut SessionState, i: usize, context: &str) {
     if state.quarantined[i] {
         return;
@@ -1374,11 +1258,11 @@ fn apply_resume(
     state.stats.conflict_rejects = checkpoint.counter("conflict_rejects") as usize;
     state.stats.faults_quarantined = checkpoint.counter("faults_quarantined") as usize;
     state.stats.checkpoints_written = checkpoint.counter("checkpoints_written") as usize;
-    state.stats.builds_discarded = checkpoint.counter("builds_discarded") as usize;
     Ok(test_set)
 }
 
-/// Writes a round-boundary checkpoint through the configured policy. A
+/// Writes a checkpoint of the committed state through the configured
+/// policy. A
 /// refused write is reported once and the run continues — losing
 /// crash-recoverability must not fail the run itself.
 fn write_checkpoint(
@@ -1435,6 +1319,7 @@ fn write_checkpoint(
                 "checkpoints_written".to_owned(),
                 (state.stats.checkpoints_written + 1) as u64,
             ),
+            // Always 0; kept so the checkpoint format is unchanged.
             (
                 "builds_discarded".to_owned(),
                 state.stats.builds_discarded as u64,
@@ -1459,6 +1344,8 @@ fn write_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use pdf_netlist::iscas::s27;
     use pdf_paths::PathEnumerator;
     use pdf_sim::SimBackend;
@@ -1514,9 +1401,7 @@ mod tests {
         let outcome = BasicAtpg::new(&c)
             .with_config(config(Compaction::Uncompacted))
             .run(&faults);
-        // Each test corresponds to exactly one successful primary attempt
-        // (duplicate speculative builds are dropped whole, so they do not
-        // disturb the ledger).
+        // Each test corresponds to exactly one successful primary attempt.
         assert_eq!(
             outcome.tests().len() + outcome.stats().aborted_primaries,
             outcome.stats().justify.calls
@@ -1573,39 +1458,6 @@ mod tests {
             let hard = guide.assignment_cost(&session.ctx.faults[pair[0]].assignments);
             let easy = guide.assignment_cost(&session.ctx.faults[pair[1]].assignments);
             assert!(hard >= easy, "primaries must be ordered hardest-first");
-        }
-    }
-
-    #[test]
-    fn thread_count_and_steal_schedule_do_not_change_results() {
-        let (c, faults) = s27_faults();
-        let reference = BasicAtpg::new(&c)
-            .with_config(config(Compaction::ValueBased))
-            .run(&faults);
-        for threads in [2usize, 4] {
-            for force_steal in [false, true] {
-                let mut cfg = config(Compaction::ValueBased);
-                cfg.threads = threads;
-                cfg.force_steal = force_steal;
-                let outcome = BasicAtpg::new(&c).with_config(cfg).run(&faults);
-                assert_eq!(
-                    outcome.tests().to_text(),
-                    reference.tests().to_text(),
-                    "threads={threads} force_steal={force_steal}"
-                );
-                assert_eq!(outcome.detected(), reference.detected());
-                assert_eq!(outcome.aborted(), reference.aborted());
-                assert_eq!(outcome.quarantined(), reference.quarantined());
-                assert_eq!(
-                    outcome.stats().aborted_primaries,
-                    reference.stats().aborted_primaries
-                );
-                assert_eq!(
-                    outcome.stats().builds_discarded,
-                    reference.stats().builds_discarded
-                );
-                assert_eq!(outcome.stats().justify, reference.stats().justify);
-            }
         }
     }
 
@@ -1856,35 +1708,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_accepts_a_checkpoint_taken_at_a_different_thread_count() {
-        let (c, faults) = s27_faults();
-        let full = BasicAtpg::new(&c)
-            .with_config(config(Compaction::ValueBased))
-            .run(&faults);
-        let path = std::env::temp_dir().join(format!(
-            "pdf_generator_thread_resume_{}.json",
-            std::process::id()
-        ));
-        let mut cfg = config(Compaction::ValueBased);
-        cfg.threads = 4;
-        cfg.budget =
-            RunBudget::unlimited().and_cancel(pdf_runctl::CancelToken::cancel_after_polls(17));
-        cfg.checkpoint = Some(pdf_runctl::CheckpointPolicy::new(&path, 1));
-        let _ = BasicAtpg::new(&c).with_config(cfg).run(&faults);
-        let checkpoint = pdf_runctl::Checkpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        // A 4-thread run's checkpoint resumes on a single thread and
-        // still lands the uninterrupted single-thread set: the thread
-        // count is not a pinned facet.
-        let resumed = BasicAtpg::new(&c)
-            .with_config(config(Compaction::ValueBased))
-            .run_resumed(&faults, &checkpoint)
-            .unwrap();
-        assert_eq!(resumed.tests().to_text(), full.tests().to_text());
-        assert_eq!(resumed.detected(), full.detected());
-    }
-
-    #[test]
     fn resume_rejects_a_foreign_checkpoint() {
         let (c, faults) = s27_faults();
         let path =
@@ -1917,13 +1740,13 @@ mod tests {
             "{err}"
         );
 
-        // A different round batch is a different run: the fingerprint
-        // pins it.
-        let mut cfg = config(Compaction::ValueBased);
-        cfg.batch = 3;
+        // Checkpoints that pin a round batch size came from speculative
+        // rounds, whose state a sequential run cannot continue.
+        let mut foreign = checkpoint.clone();
+        foreign.fingerprint = "values:regenerate:1:packed:batch=8".to_owned();
         let err = BasicAtpg::new(&c)
-            .with_config(cfg)
-            .run_resumed(&faults, &checkpoint)
+            .with_config(config(Compaction::ValueBased))
+            .run_resumed(&faults, &foreign)
             .unwrap_err();
         assert!(matches!(
             err,

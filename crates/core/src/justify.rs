@@ -176,10 +176,9 @@ pub struct JustifyStats {
 }
 
 impl JustifyStats {
-    /// Adds another engine's counters into this one. The parallel
-    /// generator gives every speculative build its own justifier and
-    /// absorbs the per-build deltas at commit, in sequence order, so the
-    /// merged totals are schedule-independent.
+    /// Adds another engine's counters into this one. The generator gives
+    /// every build its own justifier and absorbs the per-build deltas at
+    /// commit, so a build cut by the budget leaves the totals untouched.
     pub fn absorb(&mut self, other: &JustifyStats) {
         self.calls += other.calls;
         self.successes += other.successes;

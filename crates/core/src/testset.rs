@@ -70,13 +70,6 @@ impl TestSet {
         self.tests.push(test);
     }
 
-    /// Shortens the set to `len` tests, dropping the rest. No-op when the
-    /// set is already that short — the generator uses this to roll a
-    /// budget-truncated round back to its committed boundary.
-    pub fn truncate(&mut self, len: usize) {
-        self.tests.truncate(len);
-    }
-
     /// Number of tests.
     #[inline]
     #[must_use]

@@ -82,9 +82,6 @@ pub struct CellConfig {
     pub sensitize: bool,
     /// Direct run or the cancel/checkpoint/resume dance.
     pub run_mode: RunMode,
-    /// Generation worker-thread count. A throughput knob like the sim
-    /// axes: every observation must be byte-identical at every count.
-    pub threads: usize,
     /// Master seed.
     pub seed: u64,
     /// Generous wall-clock budget in minutes (`None` = unlimited). A
@@ -114,7 +111,6 @@ impl CellConfig {
             learning: false,
             sensitize: false,
             run_mode: RunMode::Direct,
-            threads: 1,
             seed: 2002,
             budget_minutes: None,
             faults: None,
@@ -155,7 +151,7 @@ impl CellConfig {
     #[must_use]
     pub fn label(&self) -> String {
         format!(
-            "{} {} {} k={} np={} np0={} learn={} sens={} {} t={} seed={} budget={} faults={}",
+            "{} {} {} k={} np={} np0={} learn={} sens={} {} seed={} budget={} faults={}",
             self.circuit,
             self.sim_options().label(),
             self.compaction.label(),
@@ -165,7 +161,6 @@ impl CellConfig {
             if self.learning { "on" } else { "off" },
             if self.sensitize { "on" } else { "off" },
             self.run_mode.label(),
-            self.threads,
             self.seed,
             self.budget_minutes
                 .map_or("none".to_owned(), |m| format!("{m}m")),
@@ -188,7 +183,6 @@ impl CellConfig {
             .field("learning", self.learning)
             .field("sensitize", self.sensitize)
             .field("run_mode", self.run_mode.label())
-            .field("threads", self.threads)
             .field("seed", self.seed)
             .field(
                 "budget_minutes",
@@ -223,8 +217,8 @@ impl CellConfig {
             // pass off (the byte-identical legacy behavior).
             sensitize: b("sensitize").unwrap_or(false),
             run_mode: RunMode::parse(s("run_mode")?)?,
-            // Artifacts predating the threads axis replay single-threaded.
-            threads: n("threads").map_or(1, |v| (v as usize).max(1)),
+            // A `threads` field from artifacts written while generation
+            // had a thread axis is ignored: it never changed results.
             seed: n("seed")? as u64,
             budget_minutes: match json.get("budget_minutes") {
                 Some(Json::Num(m)) => Some(*m as u64),
@@ -272,15 +266,14 @@ pub struct MatrixAxes {
     pub sensitizes: Vec<bool>,
     /// Run modes.
     pub run_modes: Vec<RunMode>,
-    /// Generation worker-thread counts.
-    pub threads: Vec<usize>,
     /// Seeds.
     pub seeds: Vec<u64>,
     /// Budget settings (minutes; `None` = unlimited).
     pub budgets: Vec<Option<u64>>,
     /// Failpoint specs (`None` = clean). Only healing I/O kinds belong
     /// here: every chaos cell must end up byte-identical to its clean
-    /// twin (panic-kind injection is covered by dedicated pool tests).
+    /// twin (panic-kind injection is covered by the chaos differential
+    /// tests).
     pub faults: Vec<Option<String>>,
 }
 
@@ -306,7 +299,6 @@ impl MatrixAxes {
                     cancel_after_polls: 7,
                 },
             ],
-            threads: vec![1, 4],
             seeds: vec![2002],
             budgets: vec![None, Some(10)],
             // torn@2 never tears an only-generation checkpoint: the
@@ -349,7 +341,6 @@ impl MatrixAxes {
                     cancel_after_polls: 11,
                 },
             ],
-            threads: vec![1, 2, 4, 8],
             seeds: vec![2002, 7],
             budgets: vec![None, Some(10)],
             faults: vec![
@@ -375,7 +366,6 @@ impl MatrixAxes {
             * self.learnings.len()
             * self.sensitizes.len()
             * self.run_modes.len()
-            * self.threads.len()
             * self.seeds.len()
             * self.budgets.len()
             * self.faults.len()
@@ -400,7 +390,6 @@ impl MatrixAxes {
         // indices form identity groups and stride sampling spreads over
         // the semantic axes.
         let faults = self.faults[take(self.faults.len())].clone();
-        let threads = self.threads[take(self.threads.len())];
         let backend = self.backends[take(self.backends.len())];
         let width = self.widths[take(self.widths.len())];
         let events = self.events[take(self.events.len())];
@@ -426,7 +415,6 @@ impl MatrixAxes {
             learning,
             sensitize,
             run_mode,
-            threads,
             seed,
             budget_minutes,
             faults,
@@ -581,7 +569,6 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
         sim: cell.sim_options(),
         budget: budget(),
         learned: learned.clone(),
-        threads: cell.threads.max(1),
         ..AtpgConfig::default()
     };
 
@@ -645,7 +632,7 @@ mod tests {
     fn cross_product_decodes_every_index_exactly_once() {
         let axes = MatrixAxes::smoke();
         let count = axes.cell_count();
-        assert_eq!(count, 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 3);
+        assert_eq!(count, 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 3);
         let mut labels: Vec<String> = (0..count).map(|i| axes.cell(i).label()).collect();
         labels.sort();
         labels.dedup();

@@ -30,8 +30,7 @@ fn with_threads<R>(threads: Option<&str>, body: impl FnOnce() -> R) -> R {
 
 /// A fast s27-only matrix that still exercises every invariant family:
 /// both backends, both event modes, uncompacted + compacted, two k
-/// values, learning on/off, direct + checkpoint/resume, budget on/off,
-/// serial + pooled generation.
+/// values, learning on/off, direct + checkpoint/resume, budget on/off.
 fn s27_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
@@ -53,7 +52,6 @@ fn s27_axes() -> MatrixAxes {
                 cancel_after_polls: 5,
             },
         ],
-        threads: vec![1, 2],
         seeds: vec![2002],
         budgets: vec![None, Some(10)],
         faults: vec![None],
@@ -64,7 +62,7 @@ fn s27_axes() -> MatrixAxes {
 fn clean_s27_matrix_passes_all_invariants() {
     with_threads(None, || {
         let outcome = MatrixRunner::new(s27_axes()).run();
-        assert_eq!(outcome.observations.len(), 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2);
+        assert_eq!(outcome.observations.len(), 2 * 2 * 2 * 2 * 2 * 2 * 2);
         let details: Vec<String> = outcome
             .violations
             .iter()
@@ -100,7 +98,6 @@ fn clean_b09_slice_passes_all_invariants() {
             learnings: vec![false, true],
             sensitizes: vec![false],
             run_modes: vec![RunMode::Direct],
-            threads: vec![1, 4],
             seeds: vec![2002],
             budgets: vec![None],
             faults: vec![None],
@@ -133,7 +130,6 @@ fn corrupted_runner() -> MatrixRunner {
         learnings: vec![false],
         sensitizes: vec![false],
         run_modes: vec![RunMode::Direct],
-        threads: vec![1],
         seeds: vec![2002],
         budgets: vec![None],
         faults: vec![None],
@@ -235,7 +231,6 @@ fn chaos_axes() -> MatrixAxes {
                 cancel_after_polls: 5,
             },
         ],
-        threads: vec![1],
         seeds: vec![2002],
         budgets: vec![None],
         faults: vec![
@@ -310,7 +305,6 @@ fn sensitize_axes() -> MatrixAxes {
         learnings: vec![false],
         sensitizes: vec![false, true],
         run_modes: vec![RunMode::Direct],
-        threads: vec![1],
         seeds: vec![2002],
         budgets: vec![None],
         faults: vec![None],

@@ -47,11 +47,10 @@ pub const CHECKPOINT_ENV: &str = "PDF_CHECKPOINT";
 pub const CHECKPOINT_EVERY_ENV: &str = "PDF_CHECKPOINT_EVERY";
 /// Default checkpoint interval when `PDF_CHECKPOINT_EVERY` is unset.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 16;
-/// Version tag written into checkpoint files. Version 2 checkpoints are
-/// written by the round-based (batched) generator: their `rng_state`
-/// field is vestigial (per-build RNG streams are derived from the master
-/// seed and the fault index, so a boundary carries no RNG position) and
-/// resume ignores it.
+/// Version tag written into checkpoint files. Since version 2 the
+/// `rng_state` field is vestigial: every build's RNG stream is derived
+/// from the master seed and the primary fault's index, so a checkpoint
+/// carries no RNG position and resume ignores it.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
@@ -281,14 +280,14 @@ impl RunBudget {
         self.fired.load(Ordering::Relaxed)
     }
 
-    /// A non-counting view of this budget for speculative workers: its
+    /// A non-counting view of this budget for inner loops: its
     /// [`RunBudget::exhausted`] reports the shared latch, the token's
     /// cancellation flag, and the deadline, but never advances a poll
     /// countdown, never latches, and never counts `cancel_polls`
     /// telemetry. Deterministic-countdown budgets therefore fire at
-    /// exactly the same counted poll no matter how many workers peek —
-    /// the property the parallel generator's schedule-independence rests
-    /// on.
+    /// exactly the same counted poll no matter how often the view is
+    /// peeked — the property that keeps a budget-cut generator run a
+    /// prefix of the uninterrupted one.
     #[must_use]
     pub fn peek_view(&self) -> RunBudget {
         RunBudget {
@@ -683,9 +682,9 @@ impl std::error::Error for CheckpointError {
 /// swept, genuinely aborted, or quarantined), never mid-construction.
 ///
 /// Resuming from a checkpoint replays the remaining primaries exactly as
-/// the uninterrupted run would have: the RNG state is the boundary
-/// state, detection flags are the boundary flags, and the tests written
-/// so far are carried over verbatim.
+/// the uninterrupted run would have: every build re-derives its RNG
+/// stream from the seed and its primary, detection flags are the boundary
+/// flags, and the tests written so far are carried over verbatim.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).

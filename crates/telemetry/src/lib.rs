@@ -117,15 +117,6 @@ pub mod counters {
     /// Lines visited but skipped by event-driven propagation because no
     /// fanin had changed.
     pub const LINES_SKIPPED: &str = "lines_skipped";
-    /// Generation rounds committed by the work-stealing session pool.
-    pub const POOL_ROUNDS: &str = "pool_rounds";
-    /// Jobs a pool worker claimed from another worker's deque. Schedule-
-    /// dependent by nature: diagnostic only, excluded from the
-    /// determinism contract.
-    pub const POOL_STEALS: &str = "pool_steals";
-    /// Speculative builds discarded at commit because an earlier test in
-    /// the same round already detected (or quarantined) their primary.
-    pub const POOL_BUILDS_DISCARDED: &str = "pool_builds_discarded";
     /// Failpoint evaluations that fired an injected fault (pdf-chaos).
     pub const FAILPOINTS_HIT: &str = "failpoints_hit";
     /// Transient I/O errors healed by the bounded retry loop.

@@ -4,7 +4,9 @@
 //! * **heal**: complete with results (and artifacts) byte-identical to
 //!   the clean run, absorbing transient errors through retries, or
 //! * **halt resumable**: stop in a state whose checkpoint recovery and
-//!   resume is byte-identical to the uninterrupted run.
+//!   resume is byte-identical to the uninterrupted run, or
+//! * **quarantine**: an injected panic skips exactly the keyed fault and
+//!   the run completes.
 //!
 //! The failpoint registry and the telemetry store are process-global,
 //! so every test serializes on one mutex.
@@ -85,9 +87,8 @@ fn checkpointed_run(
     (outcome, report, bytes)
 }
 
-/// Every site the chaos registry knows is exercised by this file (or,
-/// for `pool.build`, by the pool differential suite): adding a site
-/// without extending the differential coverage fails here.
+/// Every site the chaos registry knows is exercised by this file: adding
+/// a site without extending the differential coverage fails here.
 #[test]
 fn every_registered_site_has_differential_coverage() {
     let covered = [
@@ -98,6 +99,45 @@ fn every_registered_site_has_differential_coverage() {
         pdf_chaos::sites::POOL_BUILD,
     ];
     assert_eq!(pdf_chaos::sites::ALL, covered);
+}
+
+#[test]
+fn injected_build_panic_quarantines_the_keyed_fault() {
+    let _guard = serialize();
+    let path = scratch("build_panic");
+    let (c, faults) = s27_population();
+    // Not every fault reaches justification: many fall to an earlier
+    // test's simulation sweep first, and a keyed failpoint on a swept
+    // fault never fires. Take the first index (>= 1, the keyed grammar's
+    // floor) whose failpoint fires.
+    let (slot, outcome, bytes) = (1..faults.len())
+        .find_map(|slot| {
+            let spec = format!("pool.build:panic@{slot}");
+            let (outcome, report, bytes) = checkpointed_run(&path, Some(&spec), None);
+            let fired = counter(&report, pdf_telemetry::counters::FAILPOINTS_HIT) >= 1;
+            fired.then_some((slot, outcome, bytes))
+        })
+        .expect("some fault must reach justification");
+    cleanup(&path);
+    assert!(
+        outcome.quarantined()[slot],
+        "fault {slot} must be quarantined"
+    );
+    assert_eq!(outcome.quarantined().iter().filter(|&&q| q).count(), 1);
+    assert_eq!(outcome.stats().faults_quarantined, 1);
+    assert!(!outcome.detected()[slot] && !outcome.aborted()[slot]);
+    // The run completes: not cut, final checkpoint written, and every
+    // detection it reports is real.
+    assert!(!outcome.budget_exhausted());
+    assert!(bytes.is_some(), "the final checkpoint must be written");
+    assert!(!outcome.tests().is_empty());
+    let coverage = outcome.tests().coverage(&c, &faults);
+    for (i, &d) in outcome.detected().iter().enumerate() {
+        assert!(
+            !d || coverage.detected()[i],
+            "fault {i} reported but not detected"
+        );
+    }
 }
 
 #[test]
