@@ -4,15 +4,15 @@
 //! The figure of merit is *attempts per second*: one attempt is one fully
 //! specified random completion of the necessary-value fixpoint, evaluated
 //! through the requirement cone. The packed backend evaluates up to its
-//! tile width of them per cone simulation (the width comes from
-//! `PDF_SIM_WIDTH`, default auto-detected); the scalar oracle simulates
+//! tile width of them per cone simulation (the width `SimWidth::auto`
+//! picks for the CPU); the scalar oracle simulates
 //! each individually (stopping early at the first hit, which the count
 //! reflects). Both engines draw identical random fill words, so they find
 //! the same tests for the same faults — asserted below.
 //!
-//! With event-driven propagation on (the default), each completion pass
-//! re-evaluates only the lines whose input rails actually changed; the
-//! `events` block reports how small that slice of the circuit is.
+//! Propagation is event-driven: each completion pass re-evaluates only
+//! the lines whose input rails actually changed; the `events` block
+//! reports how small that slice of the circuit is.
 //!
 //! Run with `--release`; circuit and workload can be overridden via
 //! `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS` (justification calls here).
@@ -83,7 +83,6 @@ fn main() {
     let _telemetry = pdf_telemetry::Guard::from_env();
     let circuit_name = std::env::var("PDF_BENCH_CIRCUIT").unwrap_or_else(|_| "s9234*".to_owned());
     let n_calls: usize = pdf_experiments::env_parse("PDF_BENCH_TESTS").unwrap_or(256);
-    let opts = SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
 
     // Abort on structural defects before the sampling loops spend any
     // budget (PDF_LINT=off skips, =warn reports without aborting).
@@ -98,8 +97,9 @@ fn main() {
             let mut justifier = Justifier::new(circuit, 3).with_attempts(4).with_options(o);
             let mut found = 0usize;
             for call in 0..n_calls {
-                // Every requirement set is visited twice in a row, so a
-                // healthy cone cache shows a ~50% hit rate.
+                // Every requirement set is visited twice in a row: the
+                // repeat call finds its cone's planes already settled,
+                // which the event counters show.
                 let entry = entries[call / 2 % entries.len()];
                 found += usize::from(justifier.justify(&entry.assignments).is_some());
             }
@@ -107,9 +107,9 @@ fn main() {
         }
     };
 
-    let packed_opts = opts.with_backend(SimBackend::Packed);
+    let packed_opts = SimOptions::default();
     let budget = bench_budget();
-    let scalar = measure(&budget, run(opts.with_backend(SimBackend::Scalar)));
+    let scalar = measure(&budget, run(SimBackend::Scalar.into()));
     let packed = measure(&budget, run(packed_opts));
     assert_eq!(scalar.found, packed.found, "backends disagree on outcomes");
 
@@ -119,8 +119,6 @@ fn main() {
     let scalar_rate = scalar.stats.completion_attempts as f64 / scalar.completion_seconds;
     let packed_rate = packed.stats.completion_attempts as f64 / packed.completion_seconds;
     let speedup = packed_rate / scalar_rate;
-    let cache_total = packed.stats.cone_hits + packed.stats.cone_misses;
-    let hit_rate = packed.stats.cone_hits as f64 / cache_total.max(1) as f64;
     // Event economy: lines actually evaluated per completion pass, as an
     // absolute count and as a fraction of the whole circuit. Narrow-cone
     // calls with most pins frozen should keep the fraction well under
@@ -131,13 +129,11 @@ fn main() {
     println!(
         "justify_throughput {circuit_name}: {n_calls} calls, {} justified; \
          scalar {scalar_rate:.3e} attempts/s, packed {packed_rate:.3e} attempts/s \
-         @ width {} (events {}), speedup {speedup:.1}x, cone-cache hit rate {:.0}%, \
+         @ width {}, speedup {speedup:.1}x, \
          {events_per_block:.0} lines/block ({:.1}% of circuit), \
          end-to-end {:.2}s -> {:.2}s",
         packed.found,
         packed_opts.width.lanes(),
-        if packed_opts.events { "on" } else { "off" },
-        hit_rate * 100.0,
         lines_fraction * 100.0,
         scalar.total_seconds,
         packed.total_seconds,
@@ -164,7 +160,6 @@ fn main() {
             backend_json(&packed).field("blocks", packed.stats.packed_blocks),
         )
         .field("width", packed_opts.width.lanes())
-        .field("event_driven", packed_opts.events)
         .field("speedup", speedup)
         .field(
             "events",
@@ -173,13 +168,6 @@ fn main() {
                 .field("lines_skipped", packed.stats.lines_skipped)
                 .field("events_per_block", events_per_block)
                 .field("lines_fraction", lines_fraction),
-        )
-        .field(
-            "cone_cache",
-            Json::object()
-                .field("hits", packed.stats.cone_hits)
-                .field("misses", packed.stats.cone_misses)
-                .field("hit_rate", hit_rate),
         );
     std::fs::write("BENCH_justify.json", report.to_pretty())
         .expect("cannot write BENCH_justify.json");

@@ -12,9 +12,7 @@
 
 use std::time::Instant;
 
-use pdf_atpg::{
-    AtpgConfig, BudgetSpec, EnrichmentAtpg, RunBudget, SimBackend, SimOptions, SimWidth,
-};
+use pdf_atpg::{AtpgConfig, BudgetSpec, EnrichmentAtpg, RunBudget, SimOptions, SimWidth};
 use pdf_bench::setup;
 use pdf_experiments::json::Json;
 
@@ -55,16 +53,12 @@ fn main() {
     let circuit_name = std::env::var("PDF_BENCH_CIRCUIT").unwrap_or_else(|_| "s9234*".to_owned());
     let n_p: usize = pdf_experiments::env_parse("PDF_BENCH_NP").unwrap_or(2_000);
     let n_p0: usize = pdf_experiments::env_parse("PDF_BENCH_NP0").unwrap_or(200);
-    let sim = SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
 
     pdf_experiments::preflight_lint(&[circuit_name.as_str()]);
     let s = setup(&circuit_name, n_p, n_p0);
     let budget = bench_budget();
 
-    let config = AtpgConfig {
-        sim,
-        ..AtpgConfig::default()
-    };
+    let config = AtpgConfig::default();
     let (generate_s, reference) = measure(&budget, || {
         EnrichmentAtpg::new(&s.circuit)
             .with_config(config.clone())
@@ -76,7 +70,7 @@ fn main() {
     let tests = reference.tests();
     let mut per_width = Json::object();
     for width in SimWidth::ALL {
-        let o = sim.with_backend(SimBackend::Packed).with_width(width);
+        let o = SimOptions::default().with_width(width);
         let (seconds, det) = measure(&budget, || {
             tests
                 .coverage_with(o, &s.circuit, &s.faults)
@@ -103,7 +97,7 @@ fn main() {
         .field("detected", reference.detected_total())
         .field("generate_seconds", generate_s)
         .field("auto_width", SimWidth::auto().lanes())
-        .field("width", sim.width.lanes())
+        .field("width", config.sim.width.lanes())
         .field("per_width", per_width);
     std::fs::write("BENCH_pipeline.json", report.to_pretty())
         .expect("cannot write BENCH_pipeline.json");

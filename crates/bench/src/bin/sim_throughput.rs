@@ -4,9 +4,8 @@
 //! The figure of merit is *checks per second*: one check is one
 //! (test, fault) requirement evaluation, so a full coverage pass performs
 //! `tests × faults` of them. The packed engine is measured at every tile
-//! width (64/256/512 lanes) with event-driven propagation on; the
-//! headline `packed` row uses the width selected by `PDF_SIM_WIDTH`
-//! (default: auto-detected), and a `thread_scaling` row sweeps that
+//! width (64/256/512 lanes); the headline `packed` row uses the width
+//! [`SimWidth::auto`] picks for the CPU, and a `thread_scaling` row sweeps that
 //! configuration over the real worker counts (1, 2, 4, … up to the
 //! machine's fan-out) to expose the scaling curve. Run with
 //! `--release` (ideally `RUSTFLAGS="-C target-cpu=native"` so the wide
@@ -59,7 +58,6 @@ fn main() {
     // Default workload: four full 512-lane blocks, so the widest tile is
     // measured saturated rather than half-empty.
     let n_tests: usize = pdf_experiments::env_parse("PDF_BENCH_TESTS").unwrap_or(2048);
-    let opts = SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
 
     // Abort on structural defects before the sampling loops spend any
     // budget (PDF_LINT=off skips, =warn reports without aborting).
@@ -84,11 +82,11 @@ fn main() {
     };
     let (scalar_s, scalar_det) = measure(&budget, || coverage(SimBackend::Scalar.into()));
 
-    // Every tile width, events on, full fan-out.
+    // Every tile width, full fan-out.
     let mut widths = Json::object();
     let mut width_rates = Vec::new();
     for width in SimWidth::ALL {
-        let o = opts.with_backend(SimBackend::Packed).with_width(width);
+        let o = SimOptions::default().with_width(width);
         let (seconds, det) = measure(&budget, || coverage(o));
         assert_eq!(det, scalar_det, "width {width} disagrees with scalar");
         width_rates.push((width, checks / seconds));
@@ -101,8 +99,8 @@ fn main() {
         );
     }
 
-    // The headline packed row: the env-selected (default auto) width.
-    let packed_opts = opts.with_backend(SimBackend::Packed);
+    // The headline packed row: the auto-selected width.
+    let packed_opts = SimOptions::default();
     let (packed_s, packed_det) = measure(&budget, || coverage(packed_opts));
     assert_eq!(scalar_det, packed_det, "backends disagree on coverage");
 
@@ -154,7 +152,7 @@ fn main() {
     let speedup = scalar_s / packed_s;
     println!(
         "sim_throughput {circuit_name}: {} tests x {} faults; scalar {:.3e} checks/s, \
-         packed {:.3e} checks/s @ width {} ({} threads, events {}), speedup {speedup:.1}x, \
+         packed {:.3e} checks/s @ width {} ({} threads), speedup {speedup:.1}x, \
          thread scaling {:.1}x",
         tests.len(),
         s.faults.len(),
@@ -162,7 +160,6 @@ fn main() {
         checks / packed_s,
         packed_opts.width.lanes(),
         threads,
-        if packed_opts.events { "on" } else { "off" },
         single_s / full_s,
     );
     for (width, rate) in &width_rates {
@@ -191,7 +188,6 @@ fn main() {
                 .field("checks_per_sec", checks / packed_s),
         )
         .field("width", packed_opts.width.lanes())
-        .field("event_driven", packed_opts.events)
         .field("widths", widths)
         .field("speedup", speedup)
         .field("threads", threads)

@@ -1,6 +1,6 @@
 //! Profiling aid for the packed kernel: splits coverage time into the
 //! propagation (`load`) half and the requirement-check
-//! (`satisfied_lanes`) half at every tile width × event mode, and times
+//! (`satisfied_lanes`) half at every tile width, and times
 //! the steady-state identical re-load (input transpose + skip sweep
 //! alone). Not part of the published bench schemas — use it to see where
 //! a width stops paying on a given machine.
@@ -11,13 +11,13 @@ use pdf_atpg::{Justifier, TestSet};
 use pdf_bench::setup;
 use pdf_sim::{PackedBlock, SimWord};
 
-fn profile<W: SimWord>(s: &pdf_bench::BenchSetup, tests: &TestSet, events: bool) {
+fn profile<W: SimWord>(s: &pdf_bench::BenchSetup, tests: &TestSet) {
     let tests = tests.tests();
     let faults: Vec<_> = s.faults.iter().collect();
     let blocks: Vec<&[pdf_netlist::TwoPattern]> = tests.chunks(W::LANES).collect();
 
     // Load (propagation) only.
-    let mut block = PackedBlock::<W>::new().with_events(events);
+    let mut block = PackedBlock::<W>::new();
     let t0 = Instant::now();
     let mut reps = 0u32;
     while t0.elapsed().as_secs_f64() < 1.0 {
@@ -29,7 +29,7 @@ fn profile<W: SimWord>(s: &pdf_bench::BenchSetup, tests: &TestSet, events: bool)
     let load_s = t0.elapsed().as_secs_f64() / reps as f64;
 
     // Load + satisfied_lanes over every fault.
-    let mut block = PackedBlock::<W>::new().with_events(events);
+    let mut block = PackedBlock::<W>::new();
     let t0 = Instant::now();
     let mut reps = 0u32;
     let mut sink = 0u64;
@@ -46,9 +46,8 @@ fn profile<W: SimWord>(s: &pdf_bench::BenchSetup, tests: &TestSet, events: bool)
     let full_s = t0.elapsed().as_secs_f64() / reps as f64;
     let checks = (tests.len() * faults.len()) as f64;
     println!(
-        "width {:>3} events {:>5}: load {:>8.2} ms, checks {:>8.2} ms, total {:>8.2} ms, {:.3e} checks/s (sink {sink})",
+        "width {:>3}: load {:>8.2} ms, checks {:>8.2} ms, total {:>8.2} ms, {:.3e} checks/s (sink {sink})",
         W::LANES,
-        events,
         load_s * 1e3,
         (full_s - load_s) * 1e3,
         full_s * 1e3,
@@ -56,7 +55,7 @@ fn profile<W: SimWord>(s: &pdf_bench::BenchSetup, tests: &TestSet, events: bool)
     );
 }
 
-/// Times a steady-state identical re-load (events on): propagation skips
+/// Times a steady-state identical re-load: propagation skips
 /// every line, so this is input rebuild + the stamp sweep alone.
 fn reload<W: SimWord>(s: &pdf_bench::BenchSetup, tests: &TestSet) {
     let tests = tests.tests();
@@ -101,9 +100,7 @@ fn main() {
     reload::<u64>(&s, &tests);
     reload::<[u64; 4]>(&s, &tests);
     reload::<[u64; 8]>(&s, &tests);
-    for events in [true, false] {
-        profile::<u64>(&s, &tests, events);
-        profile::<[u64; 4]>(&s, &tests, events);
-        profile::<[u64; 8]>(&s, &tests, events);
-    }
+    profile::<u64>(&s, &tests);
+    profile::<[u64; 4]>(&s, &tests);
+    profile::<[u64; 8]>(&s, &tests);
 }

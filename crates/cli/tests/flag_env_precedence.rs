@@ -169,35 +169,6 @@ fn checkpoint_flag_takes_cadence_from_env_when_flag_absent() {
     let _ = std::fs::remove_file(&path);
 }
 
-// --- --cone-cache / PDF_CONE_CACHE --------------------------------------
-
-#[test]
-fn cone_cache_env_twin_is_honored_and_validated() {
-    // A valid env value applies when the flag is absent.
-    with_env(&[("PDF_CONE_CACHE", Some("8"))], || {
-        let out = pdf_cli::run(&args(&["atpg", "s27", "--np0", "10"])).unwrap();
-        assert!(out.contains("path-delay-atpg test set"), "{out}");
-    });
-    // A garbage env value aborts, naming variable and value…
-    with_env(&[("PDF_CONE_CACHE", Some("lots"))], || {
-        let e = pdf_cli::run(&args(&["atpg", "s27", "--np0", "10"])).unwrap_err();
-        assert!(e.message.contains("invalid PDF_CONE_CACHE=`lots`"), "{e}");
-    });
-    // …even when the flag overrides it.
-    with_env(&[("PDF_CONE_CACHE", Some("lots"))], || {
-        let e =
-            pdf_cli::run(&args(&["atpg", "s27", "--np0", "10", "--cone-cache", "4"])).unwrap_err();
-        assert!(e.message.contains("invalid PDF_CONE_CACHE=`lots`"), "{e}");
-    });
-    // The flag wins over a valid env value (observable: both parse, run
-    // succeeds; identical outputs at every cache size by design).
-    with_env(&[("PDF_CONE_CACHE", Some("8"))], || {
-        let out =
-            pdf_cli::run(&args(&["atpg", "s27", "--np0", "10", "--cone-cache", "0"])).unwrap();
-        assert!(out.contains("path-delay-atpg test set"), "{out}");
-    });
-}
-
 // --- --time-budget / PDF_TIME_BUDGET ------------------------------------
 
 #[test]
@@ -231,57 +202,5 @@ fn time_budget_flag_beats_a_valid_env_value() {
         ]))
         .unwrap();
         assert!(out.contains("budget_exhausted: false"), "{out}");
-    });
-}
-
-// --- --sim-width / PDF_SIM_WIDTH and --sim-events / PDF_SIM_EVENTS ------
-
-#[test]
-fn sim_width_flag_beats_env_observable_via_telemetry() {
-    let report = temp_file("sim_width");
-    with_env(
-        &[
-            ("PDF_SIM_WIDTH", Some("64")),
-            ("PDF_SIM_EVENTS", None),
-            ("PDF_TELEMETRY", None),
-        ],
-        || {
-            let out = pdf_cli::run(&args(&[
-                "atpg",
-                "s27",
-                "--np0",
-                "10",
-                "--sim-width",
-                "256",
-                "--telemetry",
-                report.to_str().unwrap(),
-            ]))
-            .unwrap();
-            assert!(out.contains("path-delay-atpg test set"), "{out}");
-        },
-    );
-    let text = std::fs::read_to_string(&report).expect("telemetry report written");
-    let json = pdf_telemetry::Json::parse(&text).expect("telemetry report parses");
-    let width = json
-        .get("counters")
-        .and_then(|c| c.get("sim_width"))
-        .and_then(pdf_telemetry::Json::as_num);
-    assert_eq!(
-        width,
-        Some(256.0),
-        "--sim-width must override PDF_SIM_WIDTH"
-    );
-    let _ = std::fs::remove_file(&report);
-}
-
-#[test]
-fn sim_width_and_events_env_garbage_aborts_even_with_flags() {
-    with_env(&[("PDF_SIM_WIDTH", Some("1024"))], || {
-        let e = pdf_cli::run(&args(&["atpg", "s27", "--sim-width", "64"])).unwrap_err();
-        assert!(e.message.contains("PDF_SIM_WIDTH"), "{e}");
-    });
-    with_env(&[("PDF_SIM_EVENTS", Some("maybe"))], || {
-        let e = pdf_cli::run(&args(&["atpg", "s27", "--sim-events", "on"])).unwrap_err();
-        assert!(e.message.contains("PDF_SIM_EVENTS"), "{e}");
     });
 }

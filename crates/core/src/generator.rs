@@ -33,9 +33,7 @@ use pdf_runctl::{Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
 use pdf_sim::SimOptions;
 
 use crate::testset::ParseTestSetError;
-use crate::{
-    BranchGuide, Justified, Justifier, JustifyStats, TargetSplit, TestSet, DEFAULT_CONE_CACHE,
-};
+use crate::{BranchGuide, Justified, Justifier, JustifyStats, TargetSplit, TestSet};
 
 /// The compaction heuristic used to order primary and secondary targets
 /// (paper Sec. 2.2).
@@ -121,14 +119,15 @@ pub struct AtpgConfig {
     pub justify_attempts: u32,
     /// How secondary targets extend the test under construction.
     pub secondary_mode: SecondaryMode,
-    /// The simulation options (backend, packed tile width, event-driven
-    /// propagation) the justifier evaluates completion blocks with. All
-    /// combinations produce identical tests and coverage for a fixed
-    /// seed; a bare [`SimBackend`] converts via `.into()`.
+    /// The simulation options (backend, packed tile width) the justifier
+    /// evaluates completion blocks with. The default is the packed engine
+    /// at [`SimWidth::auto`](pdf_sim::SimWidth::auto); tests set the
+    /// scalar oracle or a fixed width here. All combinations produce
+    /// identical tests and coverage for a fixed seed; a bare
+    /// [`SimBackend`](pdf_sim::SimBackend) converts via `.into()`.
     pub sim: SimOptions,
-    /// Capacity of the justifier's cone-topology LRU cache (entries);
-    /// `0` disables caching. Every build starts with an empty cache of
-    /// its own.
+    /// Ignored: the justifier keeps no cone cache. Kept so callers that
+    /// still set it compile; it is not part of the checkpoint fingerprint.
     pub cone_cache: usize,
     /// Cooperative time/cancellation budget. An exhausted budget makes the
     /// run stop targeting new faults, drop the build in flight uncommitted,
@@ -181,7 +180,7 @@ impl Default for AtpgConfig {
             justify_attempts: 1,
             secondary_mode: SecondaryMode::default(),
             sim: SimOptions::default(),
-            cone_cache: DEFAULT_CONE_CACHE,
+            cone_cache: 0,
             budget: RunBudget::unlimited(),
             checkpoint: None,
             quarantine: true,
@@ -195,8 +194,8 @@ impl Default for AtpgConfig {
 /// The configuration facets a checkpoint pins: resuming under a different
 /// compaction heuristic, secondary mode, attempt count or backend would
 /// silently diverge from the interrupted run, so resume refuses them.
-/// Tile width and event mode are deliberately *not* pinned: witnesses are
-/// byte-identical across them, so resuming a run on a machine with a
+/// The tile width is deliberately *not* pinned: witnesses are
+/// byte-identical across widths, so resuming a run on a machine with a
 /// different vector width is safe.
 #[must_use]
 pub fn config_fingerprint(config: &AtpgConfig) -> String {
@@ -651,11 +650,10 @@ struct Build<'a, 'c, 'f> {
 fn run_build<'c>(ctx: &SessionCtx<'c, '_>, state: &SessionState, primary: usize) -> BuildResult {
     let budget = ctx.config.budget.peek_view();
     // A fresh justifier per build: its RNG stream is a function of the
-    // primary alone, and its cone cache starts empty.
+    // primary alone.
     let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
         .with_attempts(ctx.config.justify_attempts)
         .with_options(ctx.config.sim)
-        .with_cone_cache(ctx.config.cone_cache)
         .with_budget(budget.clone());
     if let Some(guide) = &ctx.config.guide {
         justifier = justifier.with_guide(guide.clone());
@@ -1348,7 +1346,7 @@ mod tests {
 
     use pdf_netlist::iscas::s27;
     use pdf_paths::PathEnumerator;
-    use pdf_sim::SimBackend;
+    use pdf_sim::{SimBackend, SimWidth};
 
     fn s27_faults() -> (Circuit, FaultList) {
         let c = s27();
@@ -1360,10 +1358,6 @@ mod tests {
     fn config(compaction: Compaction) -> AtpgConfig {
         AtpgConfig {
             compaction,
-            // Run the whole generator suite under the option block of the
-            // CI leg (`PDF_SIM_BACKEND`/`PDF_SIM_WIDTH`/`PDF_SIM_EVENTS`),
-            // not just the default.
-            sim: SimOptions::from_env().expect("PDF_SIM_* must parse"),
             ..AtpgConfig::default()
         }
     }
@@ -1507,9 +1501,9 @@ mod tests {
     fn enrichment_coverage_is_backend_independent() {
         // Both completion engines draw the same random fill words per
         // block, so for equal seeds the whole multi-set run — tests,
-        // per-set detections, everything — is backend-independent. The
-        // acceptance bar is per-set coverage; test identity is stronger
-        // and currently holds.
+        // per-set detections, everything — is independent of the backend
+        // and of the packed tile width. The acceptance bar is per-set
+        // coverage; test identity is stronger and currently holds.
         let synth = pdf_netlist::stand_in_profile("b09")
             .expect("known stand-in")
             .generate()
@@ -1529,16 +1523,22 @@ mod tests {
                     .run(&split)
             };
             let scalar = run(SimBackend::Scalar.into());
-            let packed = run(SimBackend::Packed.into());
-            for set in 0..2 {
+            for width in SimWidth::ALL {
+                let packed = run(SimOptions::default().with_width(width));
+                for set in 0..2 {
+                    assert_eq!(
+                        scalar.detected_in_set(set),
+                        packed.detected_in_set(set),
+                        "set {set}, width {width}"
+                    );
+                }
+                assert_eq!(scalar.detected(), packed.detected(), "width {width}");
                 assert_eq!(
-                    scalar.detected_in_set(set),
-                    packed.detected_in_set(set),
-                    "set {set}"
+                    scalar.tests().tests(),
+                    packed.tests().tests(),
+                    "width {width}"
                 );
             }
-            assert_eq!(scalar.detected(), packed.detected());
-            assert_eq!(scalar.tests().tests(), packed.tests().tests());
         }
     }
 

@@ -53,7 +53,7 @@ pub use generator::{
     config_fingerprint, AtpgConfig, AtpgOutcome, AtpgStats, BasicAtpg, Compaction, EnrichmentAtpg,
     ResumeError, SecondaryMode,
 };
-pub use justify::{BranchGuide, Justified, Justifier, JustifyStats, DEFAULT_CONE_CACHE};
+pub use justify::{BranchGuide, Justified, Justifier, JustifyStats};
 pub use target::TargetSplit;
 pub use testset::{Coverage, ParseTestSetError, TestSet};
 // The simulation option block is part of this crate's public API:

@@ -99,7 +99,7 @@ impl TestSet {
     }
 
     /// Simulates the whole set against a fault list with explicit
-    /// simulation options (backend, tile width, event mode — a bare
+    /// simulation options (backend and tile width — a bare
     /// [`SimBackend`] converts). Every combination produces identical
     /// coverage; the scalar backend exists as a differential-testing
     /// oracle.

@@ -1,8 +1,8 @@
 //! Differential oracle for the justifier's completion engines: for equal
 //! seeds the scalar per-lane loop and the packed bit-plane kernel — at
-//! every tile width (64/256/512 lanes), with event-driven propagation on
-//! or off — must return byte-identical witnesses for every fault, and
-//! every packed witness must pass the scalar requirement re-check.
+//! every tile width (64/256/512 lanes) — must return byte-identical
+//! witnesses for every fault, and every packed witness must pass the
+//! scalar requirement re-check.
 
 use proptest::prelude::*;
 
@@ -29,19 +29,17 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
     )
 }
 
-/// Every backend × width × event-mode combination the justifier offers.
+/// Every backend × width combination the justifier offers.
 fn all_option_blocks() -> Vec<SimOptions> {
     let mut blocks = vec![SimOptions::default().with_backend(SimBackend::Scalar)];
     for width in SimWidth::ALL {
-        for events in [true, false] {
-            blocks.push(SimOptions::default().with_width(width).with_events(events));
-        }
+        blocks.push(SimOptions::default().with_width(width));
     }
     blocks
 }
 
 /// Justifies every detectable fault of `c` under every option block with
-/// the same seed and cross-checks witnesses, stats and cone counters.
+/// the same seed and cross-checks witnesses and stats.
 fn check_engines_agree(c: &Circuit, seed: u64, attempts: u32) {
     let paths = PathEnumerator::new(c).with_cap(300).enumerate();
     let (faults, _) = FaultList::build(c, &paths.store);
@@ -95,10 +93,6 @@ fn check_engines_agree(c: &Circuit, seed: u64, attempts: u32) {
         assert_eq!(oracle_stats.successes, stats.successes, "{opts:?}");
         assert_eq!(oracle_stats.conflicts, stats.conflicts, "{opts:?}");
         assert_eq!(oracle_stats.lane_hits, stats.lane_hits, "{opts:?}");
-        // The cone-topology LRU sits above the completion engine, so its
-        // hit/miss counters must be width- and event-independent.
-        assert_eq!(oracle_stats.cone_hits, stats.cone_hits, "{opts:?}");
-        assert_eq!(oracle_stats.cone_misses, stats.cone_misses, "{opts:?}");
     }
 }
 
@@ -125,7 +119,7 @@ fn engines_agree_on_a_redundant_stand_in() {
 #[test]
 fn wide_event_driven_generation_matches_the_default_width() {
     // End-to-end: a whole enrichment run produces identical test sets at
-    // every width × event mode, because the justifier's witnesses are.
+    // every width, because the justifier's witnesses are.
     let c = pdf_netlist::stand_in_profile("b09")
         .expect("known stand-in")
         .generate()

@@ -38,8 +38,7 @@ use std::time::Instant;
 
 use pdf_analyze::{lint_circuit, static_learning_from_env, LintMode};
 use pdf_atpg::{
-    AtpgConfig, BasicAtpg, BudgetSpec, Compaction, EnrichmentAtpg, RunBudget, SimBackend,
-    SimOptions, TargetSplit,
+    AtpgConfig, BasicAtpg, BudgetSpec, Compaction, EnrichmentAtpg, RunBudget, TargetSplit,
 };
 use pdf_faults::{FaultList, LearnedImplications, Sensitization};
 use pdf_netlist::Circuit;
@@ -56,8 +55,6 @@ pub struct Workload {
     pub seed: u64,
     /// Justification completion blocks per call (paper: 1 attempt).
     pub attempts: u32,
-    /// Cone-topology LRU capacity of the justifier (0 = no caching).
-    pub cone_cache: usize,
     /// Optional wall-clock budget per generation run (`PDF_TIME_BUDGET`).
     /// A budgeted run that exhausts its deadline still reports its partial
     /// results, flagged on stderr.
@@ -72,14 +69,6 @@ pub struct Workload {
     /// default: with the pass disabled every experiment is
     /// byte-identical to earlier releases.
     pub sensitize: bool,
-    /// Programmatic simulation options. `None` (the default, and what
-    /// [`Workload::from_env`] always produces) defers to the
-    /// `PDF_SIM_BACKEND`/`PDF_SIM_WIDTH`/`PDF_SIM_EVENTS` environment at
-    /// run time, exactly as before this field existed; `Some` pins the
-    /// options for this workload, letting harnesses (the `pdf-matrix`
-    /// cross-config sweeps) drive many configurations concurrently
-    /// without touching process-global state.
-    pub sim: Option<SimOptions>,
 }
 
 impl Default for Workload {
@@ -89,18 +78,16 @@ impl Default for Workload {
             n_p0: 1_000,
             seed: 2002,
             attempts: 1,
-            cone_cache: pdf_atpg::DEFAULT_CONE_CACHE,
             time_budget: None,
             static_learning: false,
             sensitize: false,
-            sim: None,
         }
     }
 }
 
 impl Workload {
     /// The defaults, overridden by `PDF_NP`, `PDF_NP0`, `PDF_SEED`,
-    /// `PDF_ATTEMPTS`, `PDF_CONE_CACHE` and `PDF_TIME_BUDGET` when set.
+    /// `PDF_ATTEMPTS` and `PDF_TIME_BUDGET` when set.
     ///
     /// # Panics
     ///
@@ -115,20 +102,10 @@ impl Workload {
             n_p0: env_parse("PDF_NP0").unwrap_or(d.n_p0),
             seed: env_parse("PDF_SEED").unwrap_or(d.seed),
             attempts: env_parse("PDF_ATTEMPTS").unwrap_or(d.attempts),
-            cone_cache: env_parse("PDF_CONE_CACHE").unwrap_or(d.cone_cache),
             time_budget: BudgetSpec::from_env().unwrap_or_else(|e| panic!("{e}")),
             static_learning: static_learning_from_env(),
             sensitize: pdf_analyze::sensitize_from_env(),
-            sim: None,
         }
-    }
-
-    /// The simulation options this workload runs with: the pinned
-    /// [`Workload::sim`] block when set, otherwise the environment-driven
-    /// [`sim_options`] (which panics on unparsable `PDF_SIM_*` values).
-    #[must_use]
-    pub fn sim_resolved(&self) -> SimOptions {
-        self.sim.unwrap_or_else(sim_options)
     }
 
     /// A fresh [`RunBudget`] for one generation run: the workload's time
@@ -169,33 +146,6 @@ where
             panic!("invalid {name}={raw:?}: not valid unicode")
         }
     }
-}
-
-/// The simulation backend every experiment driver uses: the default
-/// packed engine, overridable via the `PDF_SIM_BACKEND` environment
-/// variable (`scalar` re-runs a table on the reference oracle).
-///
-/// # Panics
-///
-/// Panics when `PDF_SIM_BACKEND` is set to an unrecognized backend name —
-/// `scaler` must not masquerade as a packed run.
-#[must_use]
-pub fn sim_backend() -> SimBackend {
-    SimBackend::from_env().unwrap_or_else(|e| panic!("PDF_SIM_BACKEND: {e}"))
-}
-
-/// The full simulation option block every experiment driver uses —
-/// `PDF_SIM_BACKEND`, `PDF_SIM_WIDTH` and `PDF_SIM_EVENTS` over the
-/// defaults (packed, auto-detected width, events on). Results are
-/// identical across every combination; the knobs trade throughput only.
-///
-/// # Panics
-///
-/// Panics when any of the three variables is set to an unrecognized
-/// value, naming the variable — the strict `PDF_*` parsing contract.
-#[must_use]
-pub fn sim_options() -> SimOptions {
-    SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Applies the `PDF_CIRCUITS` allow-list to a circuit name list. Each
@@ -425,7 +375,6 @@ pub fn run_basic_on(prepared: &Prepared, workload: &Workload) -> BasicCircuitRes
         .chain(prepared.split.p1().iter())
         .cloned()
         .collect();
-    let sim = workload.sim_resolved();
     let mut heuristics = Vec::new();
     for compaction in Compaction::ALL {
         let config = AtpgConfig {
@@ -433,8 +382,6 @@ pub fn run_basic_on(prepared: &Prepared, workload: &Workload) -> BasicCircuitRes
             compaction,
             justify_attempts: workload.attempts,
             secondary_mode: Default::default(),
-            sim,
-            cone_cache: workload.cone_cache,
             budget: workload.run_budget(),
             learned: prepared.learned.clone(),
             ..AtpgConfig::default()
@@ -447,7 +394,7 @@ pub fn run_basic_on(prepared: &Prepared, workload: &Workload) -> BasicCircuitRes
         note_budget_exhaustion(&prepared.name, compaction.label(), &outcome);
         let accidental = outcome
             .tests()
-            .coverage_with(sim, &prepared.circuit, &all_faults)
+            .coverage(&prepared.circuit, &all_faults)
             .detected_count();
         heuristics.push(HeuristicResult {
             heuristic: compaction.label().to_owned(),
@@ -519,8 +466,6 @@ pub fn run_enrich_on(prepared: &Prepared, workload: &Workload) -> EnrichCircuitR
         compaction: Compaction::ValueBased,
         justify_attempts: workload.attempts,
         secondary_mode: Default::default(),
-        sim: workload.sim_resolved(),
-        cone_cache: workload.cone_cache,
         budget: workload.run_budget(),
         learned: prepared.learned.clone(),
         ..AtpgConfig::default()

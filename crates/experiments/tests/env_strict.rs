@@ -7,7 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
-use pdf_experiments::{env_parse, filter_circuits, sim_backend, sim_options, Workload};
+use pdf_experiments::{env_parse, filter_circuits, Workload};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -74,14 +74,10 @@ fn workload_from_env_reads_overrides_and_rejects_garbage() {
             ("PDF_NP0", Some("100")),
             ("PDF_SEED", Some("7")),
             ("PDF_ATTEMPTS", Some("3")),
-            ("PDF_CONE_CACHE", Some("16")),
         ],
         || {
             let w = Workload::from_env();
-            assert_eq!(
-                (w.n_p, w.n_p0, w.seed, w.attempts, w.cone_cache),
-                (500, 100, 7, 3, 16)
-            );
+            assert_eq!((w.n_p, w.n_p0, w.seed, w.attempts), (500, 100, 7, 3));
         },
     );
     with_env(
@@ -90,12 +86,10 @@ fn workload_from_env_reads_overrides_and_rejects_garbage() {
             ("PDF_NP0", None),
             ("PDF_SEED", None),
             ("PDF_ATTEMPTS", None),
-            ("PDF_CONE_CACHE", None),
         ],
         || {
             let w = Workload::from_env();
             assert_eq!(w.n_p, Workload::default().n_p);
-            assert_eq!(w.cone_cache, pdf_atpg::DEFAULT_CONE_CACHE);
         },
     );
     for (var, bad) in [
@@ -103,7 +97,6 @@ fn workload_from_env_reads_overrides_and_rejects_garbage() {
         ("PDF_NP0", "1e3"),
         ("PDF_SEED", "twenty"),
         ("PDF_ATTEMPTS", "-1"),
-        ("PDF_CONE_CACHE", "lots"),
     ] {
         with_env(
             &[
@@ -111,7 +104,6 @@ fn workload_from_env_reads_overrides_and_rejects_garbage() {
                 ("PDF_NP0", None),
                 ("PDF_SEED", None),
                 ("PDF_ATTEMPTS", None),
-                ("PDF_CONE_CACHE", None),
                 (var, Some(bad)),
             ],
             || {
@@ -123,82 +115,6 @@ fn workload_from_env_reads_overrides_and_rejects_garbage() {
             },
         );
     }
-}
-
-#[test]
-fn sim_backend_rejects_unknown_names() {
-    with_env(&[("PDF_SIM_BACKEND", Some("scalar"))], || {
-        assert_eq!(sim_backend(), pdf_sim::SimBackend::Scalar);
-    });
-    with_env(&[("PDF_SIM_BACKEND", None)], || {
-        assert_eq!(sim_backend(), pdf_sim::SimBackend::Packed);
-    });
-    with_env(&[("PDF_SIM_BACKEND", Some("scaler"))], || {
-        let msg = panic_message(|| {
-            let _ = sim_backend();
-        });
-        assert!(msg.contains("scaler"), "{msg}");
-        assert!(msg.contains("scalar"), "must name accepted values: {msg}");
-        assert!(msg.contains("packed"), "must name accepted values: {msg}");
-    });
-}
-
-#[test]
-fn sim_options_read_width_and_events_and_reject_garbage() {
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", Some("512")),
-            ("PDF_SIM_EVENTS", Some("off")),
-        ],
-        || {
-            let opts = sim_options();
-            assert_eq!(opts.backend, pdf_sim::SimBackend::Packed);
-            assert_eq!(opts.width, pdf_sim::SimWidth::W512);
-            assert!(!opts.events);
-        },
-    );
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", None),
-            ("PDF_SIM_EVENTS", None),
-        ],
-        || {
-            let opts = sim_options();
-            assert_eq!(opts.width, pdf_sim::SimWidth::auto());
-            assert!(opts.events);
-        },
-    );
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", Some("128")),
-            ("PDF_SIM_EVENTS", None),
-        ],
-        || {
-            let msg = panic_message(|| {
-                let _ = sim_options();
-            });
-            assert!(msg.contains("PDF_SIM_WIDTH"), "{msg}");
-            assert!(msg.contains("128"), "{msg}");
-            assert!(msg.contains("`64`"), "must name accepted values: {msg}");
-        },
-    );
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", None),
-            ("PDF_SIM_EVENTS", Some("yes")),
-        ],
-        || {
-            let msg = panic_message(|| {
-                let _ = sim_options();
-            });
-            assert!(msg.contains("PDF_SIM_EVENTS"), "{msg}");
-            assert!(msg.contains("yes"), "{msg}");
-        },
-    );
 }
 
 #[test]

@@ -62,8 +62,6 @@ pub struct CellConfig {
     pub backend: SimBackend,
     /// Packed tile width.
     pub width: SimWidth,
-    /// Event-driven propagation.
-    pub events: bool,
     /// Compaction heuristic.
     pub compaction: Compaction,
     /// Number of target sets (`>= 2`; the paper uses 2).
@@ -103,7 +101,6 @@ impl CellConfig {
             circuit: "s27".to_owned(),
             backend: SimBackend::Packed,
             width: SimWidth::W64,
-            events: true,
             compaction: Compaction::ValueBased,
             k: 2,
             n_p: 300,
@@ -144,10 +141,9 @@ impl CellConfig {
         SimOptions::default()
             .with_backend(self.backend)
             .with_width(self.width)
-            .with_events(self.events)
     }
 
-    /// A compact one-line label (`b09 packed/w64/events values k=2 ...`).
+    /// A compact one-line label (`b09 packed/w64 values k=2 ...`).
     #[must_use]
     pub fn label(&self) -> String {
         format!(
@@ -175,7 +171,6 @@ impl CellConfig {
             .field("circuit", self.circuit.as_str())
             .field("backend", self.backend.label())
             .field("width", self.width.label())
-            .field("events", self.events)
             .field("compaction", self.compaction.label())
             .field("k", self.k)
             .field("n_p", self.n_p)
@@ -203,11 +198,14 @@ impl CellConfig {
             Some(Json::Bool(v)) => Some(*v),
             _ => None,
         };
+        let backend = s("backend")?;
+        let width = s("width")?;
         Some(CellConfig {
             circuit: s("circuit")?.to_owned(),
-            backend: s("backend")?.parse().ok()?,
-            width: s("width")?.parse().ok()?,
-            events: b("events")?,
+            backend: SimBackend::ALL.into_iter().find(|b| b.label() == backend)?,
+            width: SimWidth::ALL.into_iter().find(|w| w.label() == width)?,
+            // An `events` field from artifacts written while propagation
+            // had an on/off switch is ignored: it never changed results.
             compaction: compaction_from_label(s("compaction")?)?,
             k: n("k")? as usize,
             n_p: n("n_p")? as usize,
@@ -250,8 +248,6 @@ pub struct MatrixAxes {
     pub backends: Vec<SimBackend>,
     /// Packed tile widths.
     pub widths: Vec<SimWidth>,
-    /// Event-driven propagation settings.
-    pub events: Vec<bool>,
     /// Compaction heuristics.
     pub compactions: Vec<Compaction>,
     /// Target-set counts.
@@ -279,14 +275,13 @@ pub struct MatrixAxes {
 
 impl MatrixAxes {
     /// The bounded smoke matrix CI runs on every push: tiny circuits,
-    /// every invariant family exercised, 512 raw cells before sampling.
+    /// every invariant family exercised, 1536 raw cells before sampling.
     #[must_use]
     pub fn smoke() -> MatrixAxes {
         MatrixAxes {
             circuits: vec!["s27".to_owned(), "b09".to_owned()],
             backends: vec![SimBackend::Scalar, SimBackend::Packed],
             widths: vec![SimWidth::W64, SimWidth::W512],
-            events: vec![true, false],
             compactions: vec![Compaction::Uncompacted, Compaction::ValueBased],
             ks: vec![2, 3],
             n_ps: vec![300],
@@ -325,7 +320,6 @@ impl MatrixAxes {
             ],
             backends: vec![SimBackend::Scalar, SimBackend::Packed],
             widths: vec![SimWidth::W64, SimWidth::W256, SimWidth::W512],
-            events: vec![true, false],
             compactions: Compaction::ALL.to_vec(),
             ks: vec![2, 3, 4],
             n_ps: vec![300, 1000],
@@ -358,7 +352,6 @@ impl MatrixAxes {
         self.circuits.len()
             * self.backends.len()
             * self.widths.len()
-            * self.events.len()
             * self.compactions.len()
             * self.ks.len()
             * self.n_ps.len()
@@ -392,7 +385,6 @@ impl MatrixAxes {
         let faults = self.faults[take(self.faults.len())].clone();
         let backend = self.backends[take(self.backends.len())];
         let width = self.widths[take(self.widths.len())];
-        let events = self.events[take(self.events.len())];
         let budget_minutes = self.budgets[take(self.budgets.len())];
         let run_mode = self.run_modes[take(self.run_modes.len())];
         let k = self.ks[take(self.ks.len())];
@@ -407,7 +399,6 @@ impl MatrixAxes {
             circuit,
             backend,
             width,
-            events,
             compaction,
             k,
             n_p,
@@ -632,7 +623,7 @@ mod tests {
     fn cross_product_decodes_every_index_exactly_once() {
         let axes = MatrixAxes::smoke();
         let count = axes.cell_count();
-        assert_eq!(count, 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 3);
+        assert_eq!(count, 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 3);
         let mut labels: Vec<String> = (0..count).map(|i| axes.cell(i).label()).collect();
         labels.sort();
         labels.dedup();
@@ -661,6 +652,13 @@ mod tests {
             let cell = axes.cell(i);
             let back = CellConfig::from_json(&cell.to_json()).unwrap();
             assert_eq!(back, cell, "cell {i}");
+            // Artifacts written while the matrix had `events` and
+            // `threads` axes still replay; the fields are ignored.
+            let legacy = cell
+                .to_json()
+                .field("events", false)
+                .field("threads", 4usize);
+            assert_eq!(CellConfig::from_json(&legacy), Some(cell), "cell {i}");
         }
     }
 

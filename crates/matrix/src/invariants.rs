@@ -4,8 +4,8 @@
 //! [`Violation`]s naming the witnesses. The five families:
 //!
 //! * **ident** — cells that differ only in throughput axes (backend, tile
-//!   width, event propagation, an unexhausted budget, run mode) must
-//!   produce byte-identical test text and detection totals.
+//!   width, an unexhausted budget, run mode) must produce byte-identical
+//!   test text and detection totals.
 //! * **kmono** — under the uncompacted heuristic the generated tests are a
 //!   function of set 0 alone, so cells differing only in `k` must produce
 //!   identical test text and detection totals. (For compacted heuristics

@@ -246,9 +246,8 @@ pub fn minimize(
     let default = CellConfig::default_cell();
     for i in 0..cells.len() {
         type Reset = fn(&mut CellConfig, &CellConfig);
-        let resets: [Reset; 11] = [
+        let resets: [Reset; 10] = [
             |c, _| c.faults = None,
-            |c, d| c.events = d.events,
             |c, d| c.width = d.width,
             |c, d| c.backend = d.backend,
             |c, _| c.budget_minutes = None,

@@ -29,14 +29,13 @@ fn with_threads<R>(threads: Option<&str>, body: impl FnOnce() -> R) -> R {
 }
 
 /// A fast s27-only matrix that still exercises every invariant family:
-/// both backends, both event modes, uncompacted + compacted, two k
+/// both backends, uncompacted + compacted, two k
 /// values, learning on/off, direct + checkpoint/resume, budget on/off.
 fn s27_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar, SimBackend::Packed],
         widths: vec![SimWidth::W64],
-        events: vec![true, false],
         compactions: vec![
             pdf_atpg::Compaction::Uncompacted,
             pdf_atpg::Compaction::ValueBased,
@@ -62,7 +61,7 @@ fn s27_axes() -> MatrixAxes {
 fn clean_s27_matrix_passes_all_invariants() {
     with_threads(None, || {
         let outcome = MatrixRunner::new(s27_axes()).run();
-        assert_eq!(outcome.observations.len(), 2 * 2 * 2 * 2 * 2 * 2 * 2);
+        assert_eq!(outcome.observations.len(), 2 * 2 * 2 * 2 * 2 * 2);
         let details: Vec<String> = outcome
             .violations
             .iter()
@@ -90,7 +89,6 @@ fn clean_b09_slice_passes_all_invariants() {
             circuits: vec!["b09".to_owned()],
             backends: vec![SimBackend::Scalar, SimBackend::Packed],
             widths: vec![SimWidth::W64],
-            events: vec![true],
             compactions: vec![pdf_atpg::Compaction::Uncompacted],
             ks: vec![2, 3],
             n_ps: vec![300],
@@ -122,7 +120,6 @@ fn corrupted_runner() -> MatrixRunner {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar, SimBackend::Packed],
         widths: vec![SimWidth::W64, SimWidth::W512],
-        events: vec![true, false],
         compactions: vec![pdf_atpg::Compaction::ValueBased],
         ks: vec![2],
         n_ps: vec![300],
@@ -173,11 +170,10 @@ fn injected_failure_minimizes_to_a_deterministic_smallest_repro() {
 
     let repro = &serial.repros[0];
     // Config axes reset toward defaults wherever the failure survives:
-    // the corruption only needs one scalar and one packed cell, so width
-    // and events land on their defaults.
+    // the corruption only needs one scalar and one packed cell, so the
+    // width lands on its default.
     for cell in &repro.cells {
         assert_eq!(cell.width, SimWidth::W64, "{}", cell.label());
-        assert!(cell.events, "{}", cell.label());
     }
     // The circuit shrank: the s27 combinational core has 10 gates and 4
     // outputs; a backend-keyed corruption needs almost none of them.
@@ -218,7 +214,6 @@ fn chaos_axes() -> MatrixAxes {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar],
         widths: vec![SimWidth::W64],
-        events: vec![true],
         compactions: vec![pdf_atpg::Compaction::Uncompacted],
         ks: vec![2],
         n_ps: vec![300],
@@ -297,7 +292,6 @@ fn sensitize_axes() -> MatrixAxes {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar],
         widths: vec![SimWidth::W64],
-        events: vec![true],
         compactions: vec![pdf_atpg::Compaction::Uncompacted],
         ks: vec![2],
         n_ps: vec![300],

@@ -1,9 +1,8 @@
 //! Selection between the scalar reference engine and the packed kernel,
-//! plus the full option block (backend × tile width × event propagation)
-//! the drivers thread through the simulation entry points.
+//! plus the option block (backend × tile width) the drivers thread
+//! through the simulation entry points.
 
 use core::fmt;
-use core::str::FromStr;
 
 use crate::word::SimWidth;
 
@@ -12,7 +11,7 @@ use crate::word::SimWidth;
 /// The two backends are exactly equivalent: the packed kernel implements
 /// the same conservative hazard algebra, bit-for-bit (the differential
 /// property tests in this crate enforce it). [`SimBackend::Scalar`] is kept
-/// as the slow oracle for differential testing and debugging.
+/// as the slow oracle that tests and benches select in code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SimBackend {
     /// One test at a time through [`pdf_netlist::simulate_triples`].
@@ -26,26 +25,6 @@ pub enum SimBackend {
 impl SimBackend {
     /// Both backends, scalar first.
     pub const ALL: [SimBackend; 2] = [SimBackend::Scalar, SimBackend::Packed];
-
-    /// Reads the backend from the `PDF_SIM_BACKEND` environment variable
-    /// (`scalar` or `packed`, case-insensitive). Unset means the default
-    /// packed engine; a present-but-unrecognized value is an error —
-    /// `PDF_SIM_BACKEND=scaler` must not masquerade as a packed run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseBackendError`] (naming the bad value and the
-    /// accepted ones) when the variable is set to anything other than a
-    /// backend label. Drivers are expected to fail fast on it at startup.
-    pub fn from_env() -> Result<SimBackend, ParseBackendError> {
-        match std::env::var("PDF_SIM_BACKEND") {
-            Ok(v) => v.parse(),
-            Err(std::env::VarError::NotPresent) => Ok(SimBackend::default()),
-            Err(std::env::VarError::NotUnicode(v)) => Err(ParseBackendError {
-                found: v.to_string_lossy().into_owned(),
-            }),
-        }
-    }
 
     /// A short lowercase label (`"scalar"` / `"packed"`).
     #[must_use]
@@ -63,64 +42,23 @@ impl fmt::Display for SimBackend {
     }
 }
 
-/// Error returned when parsing a [`SimBackend`] from a string fails.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseBackendError {
-    found: String,
-}
-
-impl ParseBackendError {
-    /// The unrecognized backend name.
-    #[must_use]
-    pub fn found(&self) -> &str {
-        &self.found
-    }
-}
-
-impl fmt::Display for ParseBackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown simulation backend `{}` (accepted values: `scalar`, `packed`)",
-            self.found
-        )
-    }
-}
-
-impl std::error::Error for ParseBackendError {}
-
-impl FromStr for SimBackend {
-    type Err = ParseBackendError;
-
-    fn from_str(s: &str) -> Result<SimBackend, ParseBackendError> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(SimBackend::Scalar),
-            "packed" => Ok(SimBackend::Packed),
-            _ => Err(ParseBackendError {
-                found: s.to_owned(),
-            }),
-        }
-    }
-}
-
-/// The complete simulation configuration the high-level drivers accept:
-/// which engine, how wide its tiles are, and whether propagation is
-/// event-driven.
+/// The simulation configuration the high-level drivers accept: which
+/// engine, and how wide its tiles are.
 ///
-/// All three knobs are throughput-only — results (coverage flags,
-/// detection maps, justification witnesses) are identical across every
-/// combination, which the differential tests enforce. Because of that,
-/// most call sites take `impl Into<SimOptions>` and existing code passing
-/// a bare [`SimBackend`] keeps working: the backend converts into options
-/// with the auto-detected width and events on.
+/// Both knobs are throughput-only — results (coverage flags, detection
+/// maps, justification witnesses) are identical across every
+/// combination, which the differential tests enforce. Nothing reads them
+/// from the environment: the default is the packed engine at
+/// [`SimWidth::auto`], and tests and benches pick the scalar oracle or a
+/// fixed width in code. Most call sites take `impl Into<SimOptions>`, so
+/// a bare [`SimBackend`] converts into options with the auto-detected
+/// width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimOptions {
     /// Scalar oracle or the packed bit-plane kernel.
     pub backend: SimBackend,
     /// Tile width of the packed kernel (ignored by the scalar engine).
     pub width: SimWidth,
-    /// Event-driven propagation: skip lines whose fanins did not change.
-    pub events: bool,
 }
 
 impl Default for SimOptions {
@@ -128,7 +66,6 @@ impl Default for SimOptions {
         SimOptions {
             backend: SimBackend::default(),
             width: SimWidth::auto(),
-            events: true,
         }
     }
 }
@@ -157,114 +94,24 @@ impl SimOptions {
         self
     }
 
-    /// Enables or disables event-driven propagation.
-    #[must_use]
-    pub fn with_events(mut self, events: bool) -> SimOptions {
-        self.events = events;
-        self
-    }
-
-    /// A compact human-readable label (`"packed/w512/events"`,
-    /// `"scalar/auto/no-events"`) for report keys and log lines.
+    /// A compact human-readable label (`"packed/w512"`, `"scalar/w64"`)
+    /// for report keys and log lines.
     #[must_use]
     pub fn label(&self) -> String {
-        format!(
-            "{}/w{}/{}",
-            self.backend.label(),
-            self.width.label(),
-            if self.events { "events" } else { "no-events" }
-        )
-    }
-
-    /// Reads the whole option block from the environment:
-    /// `PDF_SIM_BACKEND`, `PDF_SIM_WIDTH` and `PDF_SIM_EVENTS`, each
-    /// falling back to its default (`packed`, `auto`, on) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending variable and value when any
-    /// of the three is set to something unrecognized. Drivers are
-    /// expected to fail fast on it at startup.
-    pub fn from_env() -> Result<SimOptions, String> {
-        Ok(SimOptions {
-            backend: SimBackend::from_env().map_err(|e| format!("PDF_SIM_BACKEND: {e}"))?,
-            width: SimWidth::from_env().map_err(|e| format!("PDF_SIM_WIDTH: {e}"))?,
-            events: events_from_env().map_err(|e| format!("PDF_SIM_EVENTS: {e}"))?,
-        })
+        format!("{}/w{}", self.backend.label(), self.width.label())
     }
 }
-
-/// Reads the event-propagation switch from `PDF_SIM_EVENTS` (`on`/`off`,
-/// `1`/`0` or `true`/`false`, case-insensitive). Unset means on; a
-/// present-but-unrecognized value is an error, per the strict `PDF_*`
-/// parsing contract.
-///
-/// # Errors
-///
-/// Returns [`ParseEventsError`] naming the bad value.
-pub fn events_from_env() -> Result<bool, ParseEventsError> {
-    match std::env::var("PDF_SIM_EVENTS") {
-        Ok(v) => parse_events(&v),
-        Err(std::env::VarError::NotPresent) => Ok(true),
-        Err(std::env::VarError::NotUnicode(v)) => Err(ParseEventsError {
-            found: v.to_string_lossy().into_owned(),
-        }),
-    }
-}
-
-fn parse_events(s: &str) -> Result<bool, ParseEventsError> {
-    match s.to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" => Ok(true),
-        "0" | "off" | "false" => Ok(false),
-        _ => Err(ParseEventsError {
-            found: s.to_owned(),
-        }),
-    }
-}
-
-/// Error returned when `PDF_SIM_EVENTS` holds an unrecognized value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseEventsError {
-    found: String,
-}
-
-impl ParseEventsError {
-    /// The unrecognized switch value.
-    #[must_use]
-    pub fn found(&self) -> &str {
-        &self.found
-    }
-}
-
-impl fmt::Display for ParseEventsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown event-propagation switch `{}` (accepted values: `on`, `off`, `1`, `0`, `true`, `false`)",
-            self.found
-        )
-    }
-}
-
-impl std::error::Error for ParseEventsError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trip() {
-        for b in SimBackend::ALL {
-            assert_eq!(b.label().parse::<SimBackend>().unwrap(), b);
-            assert_eq!(b.to_string(), b.label());
-        }
-        assert_eq!("PACKED".parse::<SimBackend>().unwrap(), SimBackend::Packed);
-        assert_eq!("nope".parse::<SimBackend>().unwrap_err().found(), "nope");
-    }
-
-    #[test]
     fn default_is_packed() {
         assert_eq!(SimBackend::default(), SimBackend::Packed);
+        for b in SimBackend::ALL {
+            assert_eq!(b.to_string(), b.label());
+        }
     }
 
     #[test]
@@ -272,45 +119,25 @@ mod tests {
         let opts = SimOptions::default();
         assert_eq!(opts.backend, SimBackend::Packed);
         assert_eq!(opts.width, SimWidth::auto());
-        assert!(opts.events);
 
         let from_backend: SimOptions = SimBackend::Scalar.into();
         assert_eq!(from_backend.backend, SimBackend::Scalar);
         assert_eq!(from_backend.width, SimWidth::auto());
-        assert!(from_backend.events);
 
         let tuned = SimOptions::default()
             .with_backend(SimBackend::Scalar)
-            .with_width(SimWidth::W512)
-            .with_events(false);
+            .with_width(SimWidth::W512);
         assert_eq!(tuned.backend, SimBackend::Scalar);
         assert_eq!(tuned.width, SimWidth::W512);
-        assert!(!tuned.events);
     }
 
     #[test]
     fn options_label_is_compact_and_distinct() {
         let a = SimOptions::default()
             .with_backend(SimBackend::Packed)
-            .with_width(SimWidth::W512)
-            .with_events(true);
-        assert_eq!(a.label(), "packed/w512/events");
-        let b = a.with_events(false);
-        assert_eq!(b.label(), "packed/w512/no-events");
-        let c = b.with_backend(SimBackend::Scalar).with_width(SimWidth::W64);
-        assert_eq!(c.label(), "scalar/w64/no-events");
-    }
-
-    #[test]
-    fn events_switch_parses_strictly() {
-        for on in ["1", "on", "true", "ON", "True"] {
-            assert_eq!(parse_events(on), Ok(true), "{on}");
-        }
-        for off in ["0", "off", "false", "OFF"] {
-            assert_eq!(parse_events(off), Ok(false), "{off}");
-        }
-        let err = parse_events("yes").unwrap_err();
-        assert_eq!(err.found(), "yes");
-        assert!(err.to_string().contains("`yes`"));
+            .with_width(SimWidth::W512);
+        assert_eq!(a.label(), "packed/w512");
+        let b = a.with_backend(SimBackend::Scalar).with_width(SimWidth::W64);
+        assert_eq!(b.label(), "scalar/w64");
     }
 }

@@ -5,20 +5,22 @@
 //! fault (paper Sec. 2.1). Both halves are embarrassingly data-parallel,
 //! and this crate exploits that twice over:
 //!
-//! * **bit-level** — [`PackedBlock`] packs [`LANES`] (=64) tests into
-//!   `u64` bit-planes (a zero and a one rail per triple component) and
-//!   evaluates every gate for all 64 tests with a handful of word
+//! * **bit-level** — [`PackedBlock`] packs one [`SimWord`] tile of tests
+//!   (64, 256 or 512 lanes: `u64`, `[u64; 4]` or `[u64; 8]`) into
+//!   bit-planes (a zero and a one rail per triple component) and
+//!   evaluates every gate for all lanes with a handful of tile
 //!   operations; requirement checks collapse to one `AND` per specified
-//!   component across all 64 lanes at once;
+//!   component across the whole tile at once. [`SimWidth::auto`] picks
+//!   the tile for the CPU;
 //! * **thread-level** — [`par_chunk_map`] fans test blocks (for
 //!   coverage-style sweeps) and fault chunks (for the per-test drop loop
 //!   of the generator) out over `std::thread::scope` workers, merging
 //!   results in deterministic chunk order.
 //!
 //! The scalar engine ([`pdf_netlist::simulate_triples`]) remains available
-//! behind [`SimBackend::Scalar`] as a differential-testing oracle; the
-//! packed kernel is bit-for-bit equivalent (the triple algebra is
-//! component-wise Kleene logic, which the two-rail encoding implements
+//! behind [`SimBackend::Scalar`] as the oracle tests and benches select in
+//! code; the packed kernel is bit-for-bit equivalent (the triple algebra
+//! is component-wise Kleene logic, which the two-rail encoding implements
 //! exactly) and this crate's property tests verify that equivalence on
 //! random circuits.
 //!
@@ -51,10 +53,10 @@ mod packed;
 mod parallel;
 mod word;
 
-pub use backend::{events_from_env, ParseBackendError, ParseEventsError, SimBackend, SimOptions};
+pub use backend::{SimBackend, SimOptions};
 pub use packed::{KernelStats, PackedBlock, LANES};
 pub use parallel::{max_threads, panic_message, par_chunk_map};
-pub use word::{ParseWidthError, SimWidth, SimWord};
+pub use word::{SimWidth, SimWord};
 
 use pdf_faults::{Assignments, FaultEntry};
 use pdf_logic::Triple;
@@ -111,13 +113,12 @@ fn packed_coverage<W: SimWord, T: HasAssignments>(
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
-    events: bool,
 ) -> Vec<bool> {
     let blocks: Vec<&[TwoPattern]> = tests.chunks(W::LANES).collect();
     pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
     pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
     let partials = par_chunk_map(&blocks, 1, |_, part| {
-        let mut block = PackedBlock::<W>::new().with_events(events);
+        let mut block = PackedBlock::<W>::new();
         let mut local = vec![false; faults.len()];
         for tests_block in part {
             block.load(circuit, tests_block);
@@ -145,7 +146,7 @@ fn packed_coverage<W: SimWord, T: HasAssignments>(
 /// flags — the kernel behind `TestSet::coverage`.
 ///
 /// Accepts a bare [`SimBackend`] or a full [`SimOptions`]; every
-/// backend × width × events combination returns identical flags. The
+/// backend × width combination returns identical flags. The
 /// packed engine simulates `width` tests per pass and fans blocks out
 /// over worker threads.
 #[must_use]
@@ -175,9 +176,9 @@ pub fn coverage_flags<T: HasAssignments>(
             detected
         }
         SimBackend::Packed => match opts.width {
-            SimWidth::W64 => packed_coverage::<u64, T>(circuit, tests, faults, opts.events),
-            SimWidth::W256 => packed_coverage::<[u64; 4], T>(circuit, tests, faults, opts.events),
-            SimWidth::W512 => packed_coverage::<[u64; 8], T>(circuit, tests, faults, opts.events),
+            SimWidth::W64 => packed_coverage::<u64, T>(circuit, tests, faults),
+            SimWidth::W256 => packed_coverage::<[u64; 4], T>(circuit, tests, faults),
+            SimWidth::W512 => packed_coverage::<[u64; 8], T>(circuit, tests, faults),
         },
     }
 }
@@ -187,13 +188,12 @@ fn packed_per_test<W: SimWord, T: HasAssignments>(
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
-    events: bool,
 ) -> Vec<Vec<usize>> {
     let blocks: Vec<&[TwoPattern]> = tests.chunks(W::LANES).collect();
     pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
     pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
     let parts = par_chunk_map(&blocks, 1, |_, part| {
-        let mut block = PackedBlock::<W>::new().with_events(events);
+        let mut block = PackedBlock::<W>::new();
         let mut out: Vec<Vec<usize>> = Vec::new();
         for tests_block in part {
             block.load(circuit, tests_block);
@@ -254,9 +254,9 @@ pub fn per_test_detections<T: HasAssignments>(
                 .collect()
         }
         SimBackend::Packed => match opts.width {
-            SimWidth::W64 => packed_per_test::<u64, T>(circuit, tests, faults, opts.events),
-            SimWidth::W256 => packed_per_test::<[u64; 4], T>(circuit, tests, faults, opts.events),
-            SimWidth::W512 => packed_per_test::<[u64; 8], T>(circuit, tests, faults, opts.events),
+            SimWidth::W64 => packed_per_test::<u64, T>(circuit, tests, faults),
+            SimWidth::W256 => packed_per_test::<[u64; 4], T>(circuit, tests, faults),
+            SimWidth::W512 => packed_per_test::<[u64; 8], T>(circuit, tests, faults),
         },
     }
 }
@@ -408,24 +408,22 @@ mod tests {
     }
 
     #[test]
-    fn all_widths_and_event_modes_agree_with_scalar() {
+    fn all_widths_agree_with_scalar() {
         let (c, faults, tests) = setup();
         let scalar = coverage_flags(SimBackend::Scalar, &c, &tests, faults.entries());
         let scalar_per = per_test_detections(SimBackend::Scalar, &c, &tests, faults.entries());
         for width in SimWidth::ALL {
-            for events in [true, false] {
-                let opts = SimOptions::default().with_width(width).with_events(events);
-                assert_eq!(
-                    coverage_flags(opts, &c, &tests, faults.entries()),
-                    scalar,
-                    "width {width} events {events}"
-                );
-                assert_eq!(
-                    per_test_detections(opts, &c, &tests, faults.entries()),
-                    scalar_per,
-                    "width {width} events {events}"
-                );
-            }
+            let opts = SimOptions::default().with_width(width);
+            assert_eq!(
+                coverage_flags(opts, &c, &tests, faults.entries()),
+                scalar,
+                "width {width}"
+            );
+            assert_eq!(
+                per_test_detections(opts, &c, &tests, faults.entries()),
+                scalar_per,
+                "width {width}"
+            );
         }
     }
 

@@ -29,11 +29,10 @@
 //!
 //! # Event-driven propagation
 //!
-//! By default the block is *event-driven*: every line remembers the
-//! stamp of the propagation pass that last changed its planes
-//! (`changed`) and the pass that last evaluated it (`checked`), and a
-//! pass re-evaluates a line only when some fanin changed more recently
-//! than the line was last checked. The two-rail encoding is what makes
+//! The block is *event-driven*: every line remembers the stamp of the
+//! propagation pass that last changed its planes (`changed`) and the pass
+//! that last evaluated it (`checked`), and a pass re-evaluates a line only
+//! when some fanin changed more recently than the line was last checked. The two-rail encoding is what makes
 //! this cheap — "did this line change for any of the `W::LANES` tests"
 //! is a single 6-word plane compare, with no per-lane bookkeeping.
 //!
@@ -201,7 +200,6 @@ pub struct PackedBlock<W: SimWord = u64> {
     pass: u64,
     /// [`Circuit::epoch`] the arena state belongs to; 0 = unbound.
     epoch: u64,
-    event_driven: bool,
     events: u64,
     skipped: u64,
     loaded: W,
@@ -219,7 +217,6 @@ impl<W: SimWord> Default for PackedBlock<W> {
             checked: Vec::new(),
             pass: 0,
             epoch: 0,
-            event_driven: true,
             events: 0,
             skipped: 0,
             loaded: W::ZERO,
@@ -234,22 +231,6 @@ impl<W: SimWord> PackedBlock<W> {
     #[must_use]
     pub fn new() -> PackedBlock<W> {
         PackedBlock::default()
-    }
-
-    /// Enables or disables event-driven propagation (enabled by default).
-    /// With events off every pass evaluates every line of its order — the
-    /// reference behavior the differential tests compare against.
-    #[must_use]
-    pub fn with_events(mut self, enabled: bool) -> PackedBlock<W> {
-        self.event_driven = enabled;
-        self
-    }
-
-    /// Whether this arena skips lines whose fanins did not change.
-    #[inline]
-    #[must_use]
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
     }
 
     /// Number of tests loaded by the last [`PackedBlock::load`].
@@ -331,13 +312,9 @@ impl<W: SimWord> PackedBlock<W> {
     #[inline]
     fn write_line(&mut self, line: LineId, p: Planes<W>) {
         let idx = line.index();
-        if self.event_driven {
-            if self.planes[idx] != p {
-                self.planes[idx] = p;
-                self.changed[idx] = self.pass + 1;
-            }
-        } else {
+        if self.planes[idx] != p {
             self.planes[idx] = p;
+            self.changed[idx] = self.pass + 1;
         }
     }
 
@@ -428,8 +405,8 @@ impl<W: SimWord> PackedBlock<W> {
     /// via [`PackedBlock::propagate_over`]) are defined, everything else
     /// may hold stale values from a previous block. A fanin-closed cone
     /// order covers every line it can observe, so the justifier's
-    /// block-per-cone loop stays O(cone), not O(circuit) — and with
-    /// events on, O(lines whose rails actually changed).
+    /// block-per-cone loop stays O(cone), not O(circuit) — and, being
+    /// event-driven, O(lines whose rails actually changed).
     pub fn begin_block(&mut self, circuit: &Circuit) {
         self.bind(circuit);
         self.count = W::LANES;
@@ -475,9 +452,9 @@ impl<W: SimWord> PackedBlock<W> {
     /// [`PackedBlock::begin_block`]). Input lines in `order` are skipped:
     /// their planes come from [`PackedBlock::set_input_rails`].
     ///
-    /// With events on, a line is re-evaluated only when some fanin's
-    /// planes changed after the line was last checked; untouched regions
-    /// of the cone cost one stamp compare per line.
+    /// A line is re-evaluated only when some fanin's planes changed after
+    /// the line was last checked; untouched regions of the cone cost one
+    /// stamp compare per line.
     pub fn propagate_over(&mut self, circuit: &Circuit, order: &[LineId]) {
         debug_assert!(
             self.epoch == circuit.epoch() && self.planes.len() == circuit.line_count(),
@@ -485,9 +462,7 @@ impl<W: SimWord> PackedBlock<W> {
         );
         let _ = circuit;
         // Destructured so the sweep gets disjoint borrows of the plan and
-        // the mutable arenas; two specialized loops so the hot path
-        // carries no per-line mode branch and the plain sweep pays for no
-        // stamp bookkeeping at all.
+        // the mutable arenas.
         let PackedBlock {
             planes,
             kinds,
@@ -498,49 +473,32 @@ impl<W: SimWord> PackedBlock<W> {
             pass,
             events,
             skipped,
-            event_driven,
             ..
         } = self;
-        if *event_driven {
-            *pass += 1;
-            let pass = *pass;
-            for &id in order {
-                let idx = id.index();
-                let fanin = &fanin_flat[starts[idx] as usize..starts[idx + 1] as usize];
-                let kind = match kinds[idx] {
-                    OpKind::Input => continue,
-                    OpKind::Copy => None,
-                    OpKind::Gate(kind) => Some(kind),
-                };
-                let line_checked = checked[idx];
-                if !fanin.iter().any(|&f| changed[f as usize] > line_checked) {
-                    *skipped += 1;
-                    continue;
-                }
-                *events += 1;
-                let out = match kind {
-                    None => planes[fanin[0] as usize],
-                    Some(kind) => eval_gate(planes, kind, fanin),
-                };
-                checked[idx] = pass;
-                if planes[idx] != out {
-                    planes[idx] = out;
-                    changed[idx] = pass;
-                }
+        *pass += 1;
+        let pass = *pass;
+        for &id in order {
+            let idx = id.index();
+            let fanin = &fanin_flat[starts[idx] as usize..starts[idx + 1] as usize];
+            let kind = match kinds[idx] {
+                OpKind::Input => continue,
+                OpKind::Copy => None,
+                OpKind::Gate(kind) => Some(kind),
+            };
+            let line_checked = checked[idx];
+            if !fanin.iter().any(|&f| changed[f as usize] > line_checked) {
+                *skipped += 1;
+                continue;
             }
-        } else {
-            for &id in order {
-                let idx = id.index();
-                let out = match kinds[idx] {
-                    OpKind::Input => continue,
-                    OpKind::Copy => planes[fanin_flat[starts[idx] as usize] as usize],
-                    OpKind::Gate(kind) => {
-                        let fanin = &fanin_flat[starts[idx] as usize..starts[idx + 1] as usize];
-                        eval_gate(planes, kind, fanin)
-                    }
-                };
-                *events += 1;
+            *events += 1;
+            let out = match kind {
+                None => planes[fanin[0] as usize],
+                Some(kind) => eval_gate(planes, kind, fanin),
+            };
+            checked[idx] = pass;
+            if planes[idx] != out {
                 planes[idx] = out;
+                changed[idx] = pass;
             }
         }
     }
@@ -620,9 +578,9 @@ mod tests {
             .collect()
     }
 
-    fn check_matches_scalar_on_s27<W: SimWord>(events: bool) {
+    fn check_matches_scalar_on_s27<W: SimWord>() {
         let c = iscas::s27();
-        let mut block = PackedBlock::<W>::new().with_events(events);
+        let mut block = PackedBlock::<W>::new();
         for chunk in exhaustive_two_patterns(c.inputs().len(), 4 * LANES).chunks(W::LANES) {
             block.load(&c, chunk);
             assert_eq!(block.len(), chunk.len());
@@ -632,7 +590,7 @@ mod tests {
                     assert_eq!(
                         block.triple(id, lane),
                         waves[id.index()],
-                        "line {id} lane {lane} width {} events {events}",
+                        "line {id} lane {lane} width {}",
                         W::LANES
                     );
                 }
@@ -642,11 +600,9 @@ mod tests {
 
     #[test]
     fn matches_scalar_simulation_exhaustively_on_s27() {
-        for events in [true, false] {
-            check_matches_scalar_on_s27::<u64>(events);
-            check_matches_scalar_on_s27::<[u64; 4]>(events);
-            check_matches_scalar_on_s27::<[u64; 8]>(events);
-        }
+        check_matches_scalar_on_s27::<u64>();
+        check_matches_scalar_on_s27::<[u64; 4]>();
+        check_matches_scalar_on_s27::<[u64; 8]>();
     }
 
     #[test]
@@ -770,21 +726,6 @@ mod tests {
         let waves = simulate_triples(&c, &tests[5].to_triples());
         for (id, _) in c.iter() {
             assert_eq!(block.triple(id, 5), waves[id.index()]);
-        }
-    }
-
-    #[test]
-    fn events_disabled_evaluates_every_line_every_pass() {
-        let c = iscas::s27();
-        let tests = exhaustive_two_patterns(c.inputs().len(), LANES);
-        let mut block: PackedBlock = PackedBlock::<u64>::new().with_events(false);
-        assert!(!block.event_driven());
-        let non_input = c.line_count() - c.inputs().len();
-        for _ in 0..2 {
-            block.load(&c, &tests);
-            let stats = block.take_kernel_stats();
-            assert_eq!(stats.events_propagated, non_input as u64);
-            assert_eq!(stats.lines_skipped, 0);
         }
     }
 

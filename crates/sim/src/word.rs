@@ -15,13 +15,12 @@
 //! instruction-level parallelism and fewer propagation passes. No
 //! unstable `std::simd` is involved.
 //!
-//! [`SimWidth`] is the runtime selector (`PDF_SIM_WIDTH` / `--sim-width`):
-//! `64`, `256`, `512`, or `auto`, which probes the CPU once and picks the
-//! fastest tile — on AVX-512 parts via a one-block micro-calibration,
-//! because the widest native tile is not always the fastest one.
+//! [`SimWidth`] names the three tiles. The drivers use [`SimWidth::auto`],
+//! which probes the CPU once and picks the fastest tile — on AVX-512 parts
+//! via a one-block micro-calibration, because the widest native tile is
+//! not always the fastest one. Tests and benches pin a width in code.
 
 use core::fmt;
-use core::str::FromStr;
 
 /// A fixed-width tile of simulation lanes, one bit per lane.
 ///
@@ -223,12 +222,12 @@ macro_rules! impl_simword_array {
 impl_simword_array!(4);
 impl_simword_array!(8);
 
-/// The runtime tile-width selector for the packed kernels.
+/// The tile width of the packed kernels.
 ///
 /// Results are width-independent — the differential property tests pin
 /// scalar, 64-, 256- and 512-lane runs to byte-identical waveforms,
 /// coverage and justification witnesses — so the width is purely a
-/// throughput knob and safe to vary per machine.
+/// throughput choice and safe to vary per machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimWidth {
     /// 64 lanes: one `u64` per plane word.
@@ -270,26 +269,6 @@ impl SimWidth {
         #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
         {
             SimWidth::W64
-        }
-    }
-
-    /// Reads the width from `PDF_SIM_WIDTH` (`64`, `256`, `512` or
-    /// `auto`, case-insensitive). Unset means `auto`; a
-    /// present-but-unrecognized value is an error — `PDF_SIM_WIDTH=128`
-    /// must not masquerade as an auto-selected run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseWidthError`] (naming the bad value and the accepted
-    /// ones) when the variable is set to anything else. Drivers are
-    /// expected to fail fast on it at startup.
-    pub fn from_env() -> Result<SimWidth, ParseWidthError> {
-        match std::env::var("PDF_SIM_WIDTH") {
-            Ok(v) => v.parse(),
-            Err(std::env::VarError::NotPresent) => Ok(SimWidth::auto()),
-            Err(std::env::VarError::NotUnicode(v)) => Err(ParseWidthError {
-                found: v.to_string_lossy().into_owned(),
-            }),
         }
     }
 
@@ -359,48 +338,6 @@ fn calibrate_wide() -> SimWidth {
     }
 }
 
-/// Error returned when parsing a [`SimWidth`] from a string fails.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseWidthError {
-    found: String,
-}
-
-impl ParseWidthError {
-    /// The unrecognized width name.
-    #[must_use]
-    pub fn found(&self) -> &str {
-        &self.found
-    }
-}
-
-impl fmt::Display for ParseWidthError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown simulation width `{}` (accepted values: `64`, `256`, `512`, `auto`)",
-            self.found
-        )
-    }
-}
-
-impl std::error::Error for ParseWidthError {}
-
-impl FromStr for SimWidth {
-    type Err = ParseWidthError;
-
-    fn from_str(s: &str) -> Result<SimWidth, ParseWidthError> {
-        match s.to_ascii_lowercase().as_str() {
-            "64" => Ok(SimWidth::W64),
-            "256" => Ok(SimWidth::W256),
-            "512" => Ok(SimWidth::W512),
-            "auto" => Ok(SimWidth::auto()),
-            _ => Err(ParseWidthError {
-                found: s.to_owned(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,21 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn width_parse_round_trip() {
+    fn lanes_match_words() {
         for w in SimWidth::ALL {
-            assert_eq!(w.label().parse::<SimWidth>().unwrap(), w);
             assert_eq!(w.to_string(), w.label());
         }
-        assert_eq!("512".parse::<SimWidth>().unwrap(), SimWidth::W512);
-        assert_eq!("128".parse::<SimWidth>().unwrap_err().found(), "128");
-        // `auto` parses to whatever this CPU supports — a concrete width.
-        let auto = "AUTO".parse::<SimWidth>().unwrap();
-        assert!(SimWidth::ALL.contains(&auto));
-        assert_eq!(auto, SimWidth::auto());
-    }
-
-    #[test]
-    fn lanes_match_words() {
+        assert!(SimWidth::ALL.contains(&SimWidth::auto()));
         assert_eq!(SimWidth::W64.lanes(), 64);
         assert_eq!(SimWidth::W256.lanes(), <[u64; 4] as SimWord>::LANES);
         assert_eq!(SimWidth::W512.lanes(), <[u64; 8] as SimWord>::LANES);

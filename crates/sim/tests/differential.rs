@@ -1,8 +1,7 @@
 //! Differential oracle: the packed bit-plane kernel must be bit-for-bit
 //! equivalent to the scalar triple simulator on random circuits — same
 //! waveforms, same satisfied requirements, same coverage flags — at every
-//! tile width (64/256/512 lanes) and with event-driven propagation on or
-//! off.
+//! tile width (64/256/512 lanes).
 
 use proptest::prelude::*;
 
@@ -54,12 +53,8 @@ fn arb_tests(inputs: usize) -> impl Strategy<Value = Vec<TwoPattern>> {
 
 /// Loads `tests` into a `W`-tile block (chunked) and checks every lane's
 /// waveforms against the scalar simulator.
-fn check_waveforms<W: SimWord>(
-    c: &Circuit,
-    tests: &[TwoPattern],
-    events: bool,
-) -> Result<(), TestCaseError> {
-    let mut block: PackedBlock<W> = PackedBlock::new().with_events(events);
+fn check_waveforms<W: SimWord>(c: &Circuit, tests: &[TwoPattern]) -> Result<(), TestCaseError> {
+    let mut block: PackedBlock<W> = PackedBlock::new();
     for chunk in tests.chunks(W::LANES) {
         block.load(c, chunk);
         for (lane, t) in chunk.iter().enumerate() {
@@ -68,10 +63,9 @@ fn check_waveforms<W: SimWord>(
                 prop_assert_eq!(
                     block.triple(id, lane),
                     waves[id.index()],
-                    "line {} lane {} events {} width {}",
+                    "line {} lane {} width {}",
                     id,
                     lane,
-                    events,
                     W::LANES
                 );
             }
@@ -90,11 +84,9 @@ proptest! {
             (Just(c), arb_tests(n))
         })
     ) {
-        for events in [true, false] {
-            check_waveforms::<u64>(&c, &tests, events)?;
-            check_waveforms::<[u64; 4]>(&c, &tests, events)?;
-            check_waveforms::<[u64; 8]>(&c, &tests, events)?;
-        }
+        check_waveforms::<u64>(&c, &tests)?;
+        check_waveforms::<[u64; 4]>(&c, &tests)?;
+        check_waveforms::<[u64; 8]>(&c, &tests)?;
     }
 
     #[test]
@@ -114,22 +106,15 @@ proptest! {
         let scalar_per = pdf_sim::per_test_detections(
             SimBackend::Scalar, &c, &tests, faults.entries());
 
-        // Every tile width × event mode must reproduce the oracle exactly.
+        // Every tile width must reproduce the oracle exactly.
         for width in SimWidth::ALL {
-            for events in [true, false] {
-                let opts = SimOptions::default()
-                    .with_width(width)
-                    .with_events(events);
-                let packed = pdf_sim::coverage_flags(
-                    opts, &c, &tests, faults.entries());
-                prop_assert_eq!(
-                    &scalar, &packed, "coverage, width {} events {}", width, events);
-                let packed_per = pdf_sim::per_test_detections(
-                    opts, &c, &tests, faults.entries());
-                prop_assert_eq!(
-                    &scalar_per, &packed_per,
-                    "per-test, width {} events {}", width, events);
-            }
+            let opts = SimOptions::default().with_width(width);
+            let packed = pdf_sim::coverage_flags(
+                opts, &c, &tests, faults.entries());
+            prop_assert_eq!(&scalar, &packed, "coverage, width {}", width);
+            let packed_per = pdf_sim::per_test_detections(
+                opts, &c, &tests, faults.entries());
+            prop_assert_eq!(&scalar_per, &packed_per, "per-test, width {}", width);
         }
     }
 

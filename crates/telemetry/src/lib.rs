@@ -87,10 +87,6 @@ pub mod counters {
     /// Justification calls resolved by a random-completion lane (either
     /// backend; the lane index is the witness).
     pub const JUSTIFY_LANE_HITS: &str = "justify_lane_hits";
-    /// Justification cone topologies served from the LRU cache.
-    pub const CONE_CACHE_HIT: &str = "cone_cache_hit";
-    /// Justification cone topologies built from scratch.
-    pub const CONE_CACHE_MISS: &str = "cone_cache_miss";
     /// Fault candidates eliminated as undetectable (rules 1 and 2).
     pub const UNDETECTABLE_DROPPED: &str = "undetectable_dropped";
     /// Cooperative run-budget polls performed by run control.

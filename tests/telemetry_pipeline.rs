@@ -74,18 +74,11 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     assert!(report.counter(counters::SIM_PASSES).unwrap() > 0);
     assert!(report.counter(counters::PACKED_BLOCKS).unwrap() > 0);
     // The packed justifier: every generation session simulates completion
-    // blocks, resolves most s27 calls by a random-completion lane, and
-    // revisits cached cone topologies across secondary trials.
+    // blocks and resolves most s27 calls by a random-completion lane.
     assert!(report.counter(counters::JUSTIFY_PACKED_BLOCKS).unwrap() > 0);
     assert!(report.counter(counters::JUSTIFY_LANE_HITS).unwrap() > 0);
-    assert!(report.counter(counters::CONE_CACHE_MISS).unwrap() > 0);
-    assert!(
-        report.counter(counters::CONE_CACHE_HIT).unwrap() > 0,
-        "repeated secondary-candidate trials must reuse cached cones"
-    );
-    // s27 under the default cap has no evictions and the enrichment set
-    // may already be minimal, so those counters only need to exist when
-    // their events happened; tests_dropped is recorded even when zero.
+    // The enrichment set may already be minimal, so tests_dropped need
+    // not be positive; it is recorded even when zero.
     assert!(report.counter(counters::TESTS_DROPPED).is_some());
 
     let text = report.to_json();
