@@ -25,7 +25,7 @@
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pdf_faults::{Assignments, FaultEntry, FaultList};
+use pdf_faults::{Assignments, FaultEntry, FaultList, ImplicationConflict, Implicator};
 use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineId, SplitMix64};
 use pdf_runctl::{Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
@@ -643,32 +643,17 @@ struct Build<'a, 'c, 'f> {
     quarantine_log: Vec<(usize, String)>,
     /// The peeked budget fired mid-build: the result must become `Cut`.
     cut: bool,
+    /// The implication pre-filter's engine for the current requirement
+    /// union (`Err` if the union itself conflicts), built on first use.
+    /// Reset to `None` whenever the union changes; candidates are probed
+    /// on it and undone, instead of seeding a fresh engine each.
+    prefilter: Option<Result<Implicator<'a>, ImplicationConflict>>,
 }
 
 /// Builds a test around `primary`. The result depends only on `ctx`,
 /// the committed flags in `state` and `primary`.
 fn run_build<'c>(ctx: &SessionCtx<'c, '_>, state: &SessionState, primary: usize) -> BuildResult {
-    let budget = ctx.config.budget.peek_view();
-    // A fresh justifier per build: its RNG stream is a function of the
-    // primary alone.
-    let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
-        .with_attempts(ctx.config.justify_attempts)
-        .with_options(ctx.config.sim)
-        .with_budget(budget.clone());
-    if let Some(guide) = &ctx.config.guide {
-        justifier = justifier.with_guide(guide.clone());
-    }
-    let mut build = Build {
-        ctx,
-        aborted: &state.aborted,
-        detected: state.detected.clone(),
-        quarantined: state.quarantined.clone(),
-        justifier,
-        budget,
-        stats: AtpgStats::default(),
-        quarantine_log: Vec::new(),
-        cut: false,
-    };
+    let mut build = Build::new(ctx, state, primary);
     let outcome = build.run(primary);
     let mut stats = build.stats;
     stats.justify = build.justifier.stats();
@@ -677,6 +662,34 @@ fn run_build<'c>(ctx: &SessionCtx<'c, '_>, state: &SessionState, primary: usize)
         outcome,
         stats,
         quarantined: build.quarantine_log,
+    }
+}
+
+impl<'a, 'c, 'f> Build<'a, 'c, 'f> {
+    /// A build around `primary` against the committed `state`.
+    fn new(ctx: &'a SessionCtx<'c, 'f>, state: &'a SessionState, primary: usize) -> Self {
+        let budget = ctx.config.budget.peek_view();
+        // A fresh justifier per build: its RNG stream is a function of the
+        // primary alone.
+        let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
+            .with_attempts(ctx.config.justify_attempts)
+            .with_options(ctx.config.sim)
+            .with_budget(budget.clone());
+        if let Some(guide) = &ctx.config.guide {
+            justifier = justifier.with_guide(guide.clone());
+        }
+        Build {
+            ctx,
+            aborted: &state.aborted,
+            detected: state.detected.clone(),
+            quarantined: state.quarantined.clone(),
+            justifier,
+            budget,
+            stats: AtpgStats::default(),
+            quarantine_log: Vec::new(),
+            cut: false,
+            prefilter: None,
+        }
     }
 }
 
@@ -861,6 +874,23 @@ impl<'c> Build<'_, 'c, '_> {
         }
     }
 
+    /// Do `union` and candidate requirements `a` imply a contradiction?
+    /// Probes `a` on the union's kept implicator — built on first use
+    /// after every union change — and undoes it; the verdict equals that
+    /// of a fresh implicator seeded with `union ∪ a`.
+    fn prefilter_conflicts(&mut self, union: &Assignments, a: &Assignments) -> bool {
+        pdf_telemetry::count(pdf_telemetry::counters::PREFILTER_PROBES, 1);
+        let (circuit, learned) = (self.ctx.circuit, self.ctx.config.learned.as_deref());
+        match self
+            .prefilter
+            .get_or_insert_with(|| Implicator::from_assignments_with(circuit, union, learned))
+        {
+            Ok(implicator) => implicator.conflicts_with(a),
+            // Every superset of a contradictory union contradicts too.
+            Err(_) => true,
+        }
+    }
+
     fn eligible_secondary(&self, i: usize, primary: usize) -> bool {
         i != primary && !self.detected[i] && !self.aborted[i] && !self.quarantined[i]
     }
@@ -899,6 +929,9 @@ impl<'c> Build<'_, 'c, '_> {
                 grew = merged != *union;
                 *union = merged;
             }
+            if grew {
+                self.prefilter = None;
+            }
             self.detected[i] = true;
             self.stats.free_accepts += 1;
             pdf_telemetry::count(pdf_telemetry::counters::SECONDARY_DETECTED, 1);
@@ -913,26 +946,18 @@ impl<'c> Build<'_, 'c, '_> {
         // justification is skipped. Sound — it only rejects candidates
         // justification could never accept.
         let conflicting = if self.ctx.config.quarantine {
-            let circuit = self.ctx.circuit;
-            let merged_ref = &merged;
-            let learned = self.ctx.config.learned.as_deref();
-            match catch_unwind(AssertUnwindSafe(|| {
-                pdf_faults::Implicator::from_assignments_with(circuit, merged_ref, learned).is_err()
-            })) {
+            match catch_unwind(AssertUnwindSafe(|| self.prefilter_conflicts(union, a))) {
                 Ok(conflicting) => conflicting,
                 Err(payload) => {
+                    // The probe stopped mid-trail: the engine is unusable.
+                    self.prefilter = None;
                     let message = pdf_sim::panic_message(payload.as_ref()).to_owned();
                     self.quarantine_fault(i, &format!("the implication pre-filter ({message})"));
                     return false;
                 }
             }
         } else {
-            pdf_faults::Implicator::from_assignments_with(
-                self.ctx.circuit,
-                &merged,
-                self.ctx.config.learned.as_deref(),
-            )
-            .is_err()
+            self.prefilter_conflicts(union, a)
         };
         if conflicting {
             self.stats.conflict_rejects += 1;
@@ -954,6 +979,7 @@ impl<'c> Build<'_, 'c, '_> {
                     }
                 }
                 *union = merged;
+                self.prefilter = None;
                 *current = justified;
                 self.detected[i] = true;
                 self.stats.secondary_accepts += 1;
@@ -1539,6 +1565,115 @@ mod tests {
                     "width {width}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn freeze_values_and_basic_runs_are_backend_independent() {
+        // The freeze-values mode seeds every secondary justification with
+        // committed pins, so the packed fixpoint meets entry states that
+        // already violate a requirement; the basic (P0-only) run takes
+        // the plain justify path. Both must be identical under the scalar
+        // oracle's sequential sweep and the packed lane-batched one, at
+        // every tile width.
+        let synth = pdf_netlist::stand_in_profile("b09")
+            .expect("known stand-in")
+            .generate()
+            .to_circuit()
+            .expect("combinational");
+        for c in [s27(), synth] {
+            let paths = PathEnumerator::new(&c).with_cap(400).enumerate();
+            let (faults, _) = FaultList::build(&c, &paths.store);
+            let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
+            let config = |opts: SimOptions| AtpgConfig {
+                sim: opts,
+                justify_attempts: 2,
+                secondary_mode: SecondaryMode::FreezeValues,
+                ..AtpgConfig::default()
+            };
+            let runs = |opts: SimOptions| {
+                [
+                    EnrichmentAtpg::new(&c)
+                        .with_config(config(opts))
+                        .run(&split),
+                    BasicAtpg::new(&c)
+                        .with_config(AtpgConfig {
+                            sim: opts,
+                            ..AtpgConfig::default()
+                        })
+                        .run(split.p0()),
+                ]
+            };
+            let scalar = runs(SimBackend::Scalar.into());
+            for width in SimWidth::ALL {
+                let packed = runs(SimOptions::default().with_width(width));
+                for (s, p) in scalar.iter().zip(&packed) {
+                    assert_eq!(s.tests().tests(), p.tests().tests(), "width {width}");
+                    assert_eq!(s.detected(), p.detected(), "width {width}");
+                    assert_eq!(s.aborted(), p.aborted(), "width {width}");
+                    let (ss, ps) = (s.stats(), p.stats());
+                    assert_eq!(ss.secondary_accepts, ps.secondary_accepts);
+                    assert_eq!(ss.secondary_rejects, ps.secondary_rejects);
+                    assert_eq!(ss.conflict_rejects, ps.conflict_rejects);
+                    assert_eq!(ss.justify.successes, ps.justify.successes);
+                    assert_eq!(ss.justify.conflicts, ps.justify.conflicts);
+                    assert_eq!(ss.justify.unsatisfied, ps.justify.unsatisfied);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_prefilter_agrees_with_fresh_implicators_as_the_union_grows() {
+        // Before every candidate, the build's kept union implicator must
+        // give the verdict of a fresh implicator seeded with the merged
+        // requirements, while accepts and free accepts grow the union
+        // (and must invalidate the kept engine).
+        let c = pdf_netlist::stand_in_profile("b09")
+            .expect("known stand-in")
+            .generate()
+            .to_circuit()
+            .expect("combinational");
+        let paths = PathEnumerator::new(&c).with_cap(400).enumerate();
+        let (faults, _) = FaultList::build(&c, &paths.store);
+        let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
+        for mode in [SecondaryMode::Regenerate, SecondaryMode::FreezeValues] {
+            let config = AtpgConfig {
+                secondary_mode: mode,
+                ..AtpgConfig::default()
+            };
+            let session = Session::new(&c, config, &[split.p0(), split.p1()]);
+            let (ctx, state) = (&session.ctx, &session.state);
+            let (mut probes, mut conflicts, mut changes) = (0, 0, 0);
+            for primary in 0..ctx.set_starts[1] {
+                let mut build = Build::new(ctx, state, primary);
+                let mut union = ctx.faults[primary].assignments.clone();
+                let Some(mut current) = build.justifier.justify(&union) else {
+                    continue;
+                };
+                let mut frozen = match mode {
+                    SecondaryMode::FreezeValues => current.assignment.clone(),
+                    SecondaryMode::Regenerate => Vec::new(),
+                };
+                for i in 0..ctx.faults.len() {
+                    if !build.eligible_secondary(i, primary) {
+                        continue;
+                    }
+                    let a = &ctx.faults[i].assignments;
+                    if let Some(merged) = union.merged(a) {
+                        let fresh = Implicator::from_assignments(&c, &merged).is_err();
+                        assert_eq!(build.prefilter_conflicts(&union, a), fresh, "fault {i}");
+                        probes += 1;
+                        conflicts += usize::from(fresh);
+                    }
+                    changes +=
+                        usize::from(build.try_candidate(i, &mut union, &mut current, &mut frozen));
+                }
+            }
+            assert!(
+                probes > 0 && conflicts > 0 && changes > 0,
+                "{probes}/{conflicts}/{changes}"
+            );
         }
     }
 

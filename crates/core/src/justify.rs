@@ -9,7 +9,13 @@
 //!    trial-assign `0` and `1`; if one value makes the simulated waveforms
 //!    *violate* a requirement (specified-vs-specified mismatch), the other
 //!    value is assigned permanently; if both conflict, justification
-//!    fails;
+//!    fails. The packed backend probes every open slot of a sweep at
+//!    once — slot `k` of a pass on lanes `2k` (value 0) and `2k + 1`
+//!    (value 1) of one bit-plane pass, `tile width / 2` slots per pass —
+//!    and applies the forced values together; the scalar oracle probes
+//!    slot by slot and applies each forced value at once. Ternary
+//!    simulation is monotone, so both schedules reach the same fixpoint
+//!    or fail on the same calls (`DESIGN.md` §10);
 //! 3. **random completion**: the surviving free positions are filled with
 //!    random values in groups of [`pdf_sim::LANES`] (= 64) complete
 //!    candidate tests, all groups drawn up front. The packed backend
@@ -136,7 +142,9 @@ pub struct JustifyStats {
     pub conflicts: usize,
     /// Calls that failed the final hazard/satisfaction check.
     pub unsatisfied: usize,
-    /// Cone simulations performed (a packed 64-lane block counts as one).
+    /// Cone simulations performed. A packed pass counts as one, whatever
+    /// its tile width: a completion pass, or a necessary-value probe pass
+    /// covering up to `tile width / 2` slots.
     pub simulations: usize,
     /// Random completions evaluated. The packed backend evaluates whole
     /// passes (up to its tile width in lanes) at once; the scalar oracle
@@ -145,7 +153,8 @@ pub struct JustifyStats {
     pub completion_attempts: usize,
     /// Bit-plane completion passes simulated (packed backend). A pass
     /// covers up to `tile width` candidate lanes, so this count shrinks
-    /// as the width grows.
+    /// as the width grows. Necessary-value probe passes are counted in
+    /// [`JustifyStats::fixpoint_passes`] instead.
     pub packed_blocks: usize,
     /// Calls resolved by a random-completion lane rather than the guided
     /// decision search.
@@ -166,6 +175,10 @@ pub struct JustifyStats {
     /// [`BranchGuide`] instead of the random pick. Always 0 without a
     /// guide.
     pub scoap_guided_branches: usize,
+    /// Necessary-value fixpoint passes: bit-plane probe passes on the
+    /// packed backend (each probes up to `tile width / 2` open slots),
+    /// whole sequential sweeps on the scalar oracle.
+    pub fixpoint_passes: usize,
 }
 
 impl JustifyStats {
@@ -184,15 +197,17 @@ impl JustifyStats {
         self.events_propagated += other.events_propagated;
         self.lines_skipped += other.lines_skipped;
         self.scoap_guided_branches += other.scoap_guided_branches;
+        self.fixpoint_passes += other.fixpoint_passes;
     }
 }
 
 /// The simulation-based justification engine.
 ///
 /// The engine owns a deterministic RNG: two engines created with the same
-/// seed and fed the same call sequence produce identical tests. The random
-/// fill words of the completion phase are drawn identically under both
-/// [`SimBackend`]s, so for a fixed seed the scalar oracle and the packed
+/// seed and fed the same call sequence produce identical tests. Both
+/// [`SimBackend`]s reach the same necessary-value fixpoint (by different
+/// probe schedules) and draw the completion phase's random fill words
+/// identically, so for a fixed seed the scalar oracle and the packed
 /// kernel also agree call by call — on justifiability always, and on the
 /// witness itself in the current implementation (only the former is
 /// contractual; see `DESIGN.md` §10).
@@ -224,13 +239,16 @@ pub struct Justifier<'c> {
     stats: JustifyStats,
     /// Scratch waveform buffer, one slot per line.
     scratch: Vec<Triple>,
-    /// Reusable bit-plane arena for packed completion passes, at the
-    /// width selected by [`Justifier::with_options`].
+    /// Reusable bit-plane arena for packed probe and completion passes, at
+    /// the width selected by [`Justifier::with_options`].
     packed: PackedArena,
     /// Optional SCOAP branch guide for the guided decision search.
     guide: Option<std::sync::Arc<BranchGuide>>,
     /// Wall time spent inside completion blocks (phase 2 only).
     completion: std::time::Duration,
+    /// Wall time spent in the necessary-value fixpoint (phase 1 and every
+    /// fixpoint rerun of the guided search).
+    fixpoint: std::time::Duration,
     /// Cooperative time/cancellation budget polled at call entry, per
     /// completion block and per guided-search decision.
     budget: RunBudget,
@@ -252,6 +270,7 @@ impl<'c> Justifier<'c> {
             packed: PackedArena::new(opts.width),
             guide: None,
             completion: std::time::Duration::ZERO,
+            fixpoint: std::time::Duration::ZERO,
             budget: RunBudget::unlimited(),
         }
     }
@@ -268,9 +287,9 @@ impl<'c> Justifier<'c> {
         self
     }
 
-    /// Selects the engine evaluating completion passes: the packed
-    /// bit-plane kernel (default) or the scalar oracle. Both agree on
-    /// justifiability for equal seeds.
+    /// Selects the engine evaluating necessary-value probes and completion
+    /// passes: the packed bit-plane kernel (default) or the scalar oracle.
+    /// Both agree on justifiability for equal seeds.
     #[must_use]
     pub fn with_backend(mut self, backend: SimBackend) -> Justifier<'c> {
         self.opts.backend = backend;
@@ -339,12 +358,20 @@ impl<'c> Justifier<'c> {
 
     /// Wall time spent evaluating random-completion blocks, across all
     /// calls. [`JustifyStats::completion_attempts`] divided by this is the
-    /// completion engine's throughput — the phases around it (the
-    /// necessary-value fixpoint, the guided fallback) are
-    /// backend-independent and excluded.
+    /// completion engine's throughput; the necessary-value fixpoint is
+    /// timed separately ([`Justifier::fixpoint_seconds`]).
     #[must_use]
     pub fn completion_seconds(&self) -> f64 {
         self.completion.as_secs_f64()
+    }
+
+    /// Wall time spent in the necessary-value fixpoint, across all calls:
+    /// phase 1 plus every rerun after a guided-search decision. Probe
+    /// passes on the packed backend, sequential sweeps on the scalar
+    /// oracle ([`JustifyStats::fixpoint_passes`] counts either).
+    #[must_use]
+    pub fn fixpoint_seconds(&self) -> f64 {
+        self.fixpoint.as_secs_f64()
     }
 
     /// Searches for a fully specified two-pattern test satisfying `req`.
@@ -386,9 +413,10 @@ impl<'c> Justifier<'c> {
         self.sim_cone(&cone, &state);
         self.stats.simulations += 1;
 
-        // Phase 1 — the necessary-value fixpoint. Purely deterministic,
-        // shared by both backends.
-        if !self.fixpoint(&cone, &mut state) {
+        // Phase 1 — the necessary-value fixpoint. Purely deterministic;
+        // both backends reach the same fixpoint (or fail on the same
+        // calls), by different probe schedules.
+        if !self.fixpoint(req, &cone, &mut state) {
             self.stats.conflicts += 1;
             return None;
         }
@@ -461,9 +489,24 @@ impl<'c> Justifier<'c> {
     /// Runs the necessary-value analysis to its fixpoint. Returns `false`
     /// on a both-values conflict (the requirements are unjustifiable).
     /// Maintains the scratch invariant.
-    fn fixpoint(&mut self, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
+    fn fixpoint(&mut self, req: &Assignments, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
+        let start = std::time::Instant::now();
+        let ok = if self.opts.backend == SimBackend::Scalar {
+            self.sequential_fixpoint(cone, state)
+        } else {
+            self.batched_fixpoint(req, cone, state)
+        };
+        self.fixpoint += start.elapsed();
+        ok
+    }
+
+    /// The scalar oracle's schedule (Gauss–Seidel): probe one slot at a
+    /// time and apply a forced value before probing the next slot.
+    fn sequential_fixpoint(&mut self, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
         let n = cone.topo.pis.len();
         loop {
+            self.stats.fixpoint_passes += 1;
+            pdf_telemetry::count(pdf_telemetry::counters::FIXPOINT_PASSES, 1);
             let mut assigned = false;
             for i in 0..n {
                 for pos in 0..2 {
@@ -487,6 +530,108 @@ impl<'c> Justifier<'c> {
                         (false, false) => {}
                     }
                 }
+            }
+            if !assigned {
+                return true;
+            }
+        }
+    }
+
+    /// The packed backend's schedule (Jacobi): probe up to
+    /// `tile width / 2` open slots per bit-plane pass against the same
+    /// committed state, then apply every forced value of the pass. Both
+    /// schedules reach the same least fixpoint, and fail on the same
+    /// calls, because ternary simulation is monotone (`DESIGN.md` §10).
+    fn batched_fixpoint(
+        &mut self,
+        req: &Assignments,
+        cone: &Cone,
+        state: &mut [(Value, Value)],
+    ) -> bool {
+        // The entry-violation rule. Frozen pins can make the entry state
+        // violate a requirement line already. The sequential sweep only
+        // checks the lines a probed input reaches, so such a line fails
+        // the call iff some open slot reaches it (both trial values keep
+        // it violated); otherwise it is never looked at, and the lane and
+        // post-apply checks must ignore it too.
+        let violated: Vec<LineId> = req
+            .iter()
+            .filter(|&(line, r)| !self.scratch[line.index()].is_compatible(r))
+            .map(|(line, _)| line)
+            .collect();
+        let trimmed;
+        let check = if violated.is_empty() {
+            req
+        } else {
+            let reaches_violated = state.iter().zip(&cone.reach_req).any(|(s, reach)| {
+                !(s.0.is_specified() && s.1.is_specified())
+                    && reach.iter().any(|(line, _)| violated.contains(line))
+            });
+            if reaches_violated {
+                return false;
+            }
+            let mut kept = Assignments::new();
+            for (line, r) in req.iter().filter(|(line, _)| !violated.contains(line)) {
+                kept.require(line, r).expect("a subset of a consistent set");
+            }
+            trimmed = kept;
+            &trimmed
+        };
+        let slots_per_pass = self.opts.width.lanes() / 2;
+        let mut open: Vec<(usize, usize)> = Vec::new();
+        let mut forced: Vec<(usize, usize, Value)> = Vec::new();
+        loop {
+            open.clear();
+            open.extend(
+                (0..state.len())
+                    .flat_map(|i| (0..2).map(move |pos| (i, pos)))
+                    .filter(|&(i, pos)| !pick(&state[i], pos).is_specified()),
+            );
+            let mut assigned = false;
+            for slots in open.chunks(slots_per_pass) {
+                forced.clear();
+                let Justifier {
+                    circuit,
+                    packed,
+                    stats,
+                    ..
+                } = self;
+                let ok = match packed {
+                    PackedArena::W64(b) => {
+                        probe_pass(b, circuit, check, cone, state, slots, &mut forced, stats)
+                    }
+                    PackedArena::W256(b) => {
+                        probe_pass(b, circuit, check, cone, state, slots, &mut forced, stats)
+                    }
+                    PackedArena::W512(b) => {
+                        probe_pass(b, circuit, check, cone, state, slots, &mut forced, stats)
+                    }
+                };
+                if !ok {
+                    return false;
+                }
+                if forced.is_empty() {
+                    continue;
+                }
+                for &(i, pos, v) in &forced {
+                    set(&mut state[i], pos, v);
+                }
+                // `forced` is in slot order, so both slots of one input
+                // are adjacent: one re-simulation per changed input.
+                let mut last = usize::MAX;
+                for &(i, _, _) in &forced {
+                    if i != last {
+                        self.apply(cone, state, i);
+                        last = i;
+                    }
+                }
+                // Values forced together may jointly violate a
+                // requirement; the sequential sweep then finds the later
+                // slot both-bad.
+                if check.violated_by(&self.scratch) {
+                    return false;
+                }
+                assigned = true;
             }
             if !assigned {
                 return true;
@@ -631,7 +776,7 @@ impl<'c> Justifier<'c> {
                 self.stats.conflicts += 1;
                 return None;
             }
-            if !self.fixpoint(cone, &mut state) {
+            if !self.fixpoint(req, cone, &mut state) {
                 self.stats.conflicts += 1;
                 return None;
             }
@@ -903,6 +1048,58 @@ fn packed_passes<W: SimWord>(
     PassOutcome::Miss
 }
 
+/// One necessary-value probe pass on the packed kernel: slot `k` of
+/// `slots` is trial-assigned `0` on lane `2k` and `1` on lane `2k + 1`;
+/// every other lane carries the committed state. Pushes each slot whose
+/// trial values split (exactly one violates `req`) onto `forced` with the
+/// surviving value; returns `false` if some slot's two values both
+/// violate.
+///
+/// The kernel's event counters are drained and dropped: they describe
+/// completion passes only.
+#[allow(clippy::too_many_arguments)]
+fn probe_pass<W: SimWord>(
+    block: &mut PackedBlock<W>,
+    circuit: &Circuit,
+    req: &Assignments,
+    cone: &Cone,
+    state: &[(Value, Value)],
+    slots: &[(usize, usize)],
+    forced: &mut Vec<(usize, usize, Value)>,
+    stats: &mut JustifyStats,
+) -> bool {
+    debug_assert!(slots.len() <= W::LANES / 2);
+    stats.fixpoint_passes += 1;
+    stats.simulations += 1;
+    pdf_telemetry::count(pdf_telemetry::counters::FIXPOINT_PASSES, 1);
+    block.begin_block(circuit);
+    // `slots` is in (input, position) order, so one cursor walks it
+    // alongside the inputs.
+    let mut slot_lanes = slots.iter().enumerate().peekable();
+    for (i, &pi) in cone.topo.pis.iter().enumerate() {
+        let mut rails = [splat_rails::<W>(state[i].0), splat_rails::<W>(state[i].1)];
+        while let Some((k, &(_, pos))) = slot_lanes.next_if(|(_, slot)| slot.0 == i) {
+            // An open slot is `x`, so both of its rails are still all-zero.
+            rails[pos].0.set_lane(2 * k);
+            rails[pos].1.set_lane(2 * k + 1);
+        }
+        block.set_input_rails(pi, rails[0], rails[1]);
+    }
+    debug_assert!(slot_lanes.next().is_none(), "slots must be in input order");
+    block.propagate_over(circuit, &cone.topo.order);
+    let _ = block.take_kernel_stats();
+    let bad = block.violated_lanes(req);
+    for (k, &(i, pos)) in slots.iter().enumerate() {
+        match (bad.lane(2 * k), bad.lane(2 * k + 1)) {
+            (true, true) => return false,
+            (true, false) => forced.push((i, pos, Value::One)),
+            (false, true) => forced.push((i, pos, Value::Zero)),
+            (false, false) => {}
+        }
+    }
+    true
+}
+
 /// The requirement-independent topology of a fanin cone: the lines of
 /// the fanin cone of a requirement line-set, its inputs and what each
 /// input reaches.
@@ -1102,6 +1299,38 @@ mod tests {
     }
 
     #[test]
+    fn entry_violation_rule_matches_the_sequential_sweep() {
+        // z = AND(a, b) must be stable 1, y = OR(c, d) stable 0. Pinning
+        // a = 0 violates z on entry. With b open, b reaches the violated
+        // line: a fixpoint conflict. With b pinned too, no open slot
+        // reaches it: the fixpoint forces c = d = 0, the test is fully
+        // specified, and only the final check fails (unsatisfied). Every
+        // backend and width must reach the same two verdicts.
+        let mut b = pdf_netlist::CircuitBuilder::new("entry");
+        let (a, bb, c, d) = (b.input("a"), b.input("b"), b.input("c"), b.input("d"));
+        let z = b.gate("z", pdf_logic::GateKind::And, &[a, bb]);
+        let y = b.gate("y", pdf_logic::GateKind::Or, &[c, d]);
+        b.mark_output(z);
+        b.mark_output(y);
+        let circuit = b.finish().unwrap();
+        let mut req = pdf_faults::Assignments::new();
+        req.require(z, Triple::STABLE1).unwrap();
+        req.require(y, Triple::STABLE0).unwrap();
+        let reached = [(a, Value::Zero, Value::Zero)];
+        let unreached = [(a, Value::Zero, Value::Zero), (bb, Value::One, Value::One)];
+        let mut engines = vec![Justifier::new(&circuit, 5).with_backend(SimBackend::Scalar)];
+        engines.extend(SimWidth::ALL.into_iter().map(|w| {
+            Justifier::new(&circuit, 5).with_options(SimOptions::default().with_width(w))
+        }));
+        for j in &mut engines {
+            assert!(j.justify_seeded(&req, &reached).is_none());
+            assert_eq!((j.stats().conflicts, j.stats().unsatisfied), (1, 0));
+            assert!(j.justify_seeded(&req, &unreached).is_none());
+            assert_eq!((j.stats().conflicts, j.stats().unsatisfied), (1, 1));
+        }
+    }
+
+    #[test]
     fn unsatisfiable_requirements_fail() {
         let c = s27();
         // Two requirements that no test satisfies: line 8 = NOT(1) must be
@@ -1211,6 +1440,8 @@ mod tests {
         let _ = j.justify(&a);
         assert_eq!(j.stats().calls, 2);
         assert!(j.stats().simulations > 0);
+        assert!(j.stats().fixpoint_passes > 0);
+        assert!(j.fixpoint_seconds() > 0.0);
     }
 
     #[test]

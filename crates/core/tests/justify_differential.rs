@@ -1,14 +1,16 @@
-//! Differential oracle for the justifier's completion engines: for equal
-//! seeds the scalar per-lane loop and the packed bit-plane kernel — at
-//! every tile width (64/256/512 lanes) — must return byte-identical
-//! witnesses for every fault, and every packed witness must pass the
-//! scalar requirement re-check.
+//! Differential oracle for the justifier's engines: for equal seeds the
+//! scalar oracle (sequential necessary-value sweep, per-lane completion)
+//! and the packed bit-plane kernel (lane-batched probe passes, packed
+//! completion) — at every tile width (64/256/512 lanes) — must return
+//! byte-identical witnesses for every fault, and every packed witness
+//! must pass the scalar requirement re-check.
 
 use proptest::prelude::*;
 
 use pdf_atpg::Justifier;
-use pdf_faults::FaultList;
-use pdf_netlist::{Circuit, SynthProfile, TwoPattern};
+use pdf_faults::{Assignments, FaultList};
+use pdf_logic::{Triple, Value};
+use pdf_netlist::{simulate_triples, Circuit, LineId, SynthProfile, TwoPattern};
 use pdf_paths::PathEnumerator;
 use pdf_sim::{SimBackend, SimOptions, SimWidth};
 
@@ -92,8 +94,100 @@ fn check_engines_agree(c: &Circuit, seed: u64, attempts: u32) {
         let stats = j.stats();
         assert_eq!(oracle_stats.successes, stats.successes, "{opts:?}");
         assert_eq!(oracle_stats.conflicts, stats.conflicts, "{opts:?}");
+        assert_eq!(oracle_stats.unsatisfied, stats.unsatisfied, "{opts:?}");
         assert_eq!(oracle_stats.lane_hits, stats.lane_hits, "{opts:?}");
     }
+}
+
+/// Does the state `justify_seeded` enters with — `pins` on their inputs,
+/// every other input `x` — already violate `req`? Inputs outside the
+/// requirement cone cannot reach a requirement line, so simulating the
+/// whole circuit gives the cone's entry values.
+fn entry_state_violates(c: &Circuit, req: &Assignments, pins: &[(LineId, Value, Value)]) -> bool {
+    let inputs: Vec<Triple> = c
+        .inputs()
+        .iter()
+        .map(|&pi| match pins.iter().find(|p| p.0 == pi) {
+            Some(&(_, v1, v2)) => Triple::from_patterns(v1, v2),
+            None => Triple::UNKNOWN,
+        })
+        .collect();
+    req.violated_by(&simulate_triples(c, &inputs))
+}
+
+/// The freeze-values path: each engine justifies fault `k`, then
+/// justifies `A(k) ∪ A(m)` seeded with its own witness's committed
+/// inputs, `m` half the fault list away. The pins often leave the entry state violating a requirement
+/// line, which is the case the packed fixpoint's entry-violation rule
+/// must resolve exactly as the sequential sweep does. Returns how many
+/// seeded calls entered with a violated requirement.
+fn check_seeded_engines_agree(c: &Circuit, seed: u64, attempts: u32) -> usize {
+    let paths = PathEnumerator::new(c).with_cap(300).enumerate();
+    let (faults, _) = FaultList::build(c, &paths.store);
+    let entries: Vec<_> = faults.iter().collect();
+    let blocks = all_option_blocks();
+    let mut engines: Vec<Justifier> = blocks
+        .iter()
+        .map(|&opts| {
+            Justifier::new(c, seed)
+                .with_attempts(attempts)
+                .with_options(opts)
+        })
+        .collect();
+    let mut violated_entries = 0usize;
+    for (idx, &entry) in entries.iter().enumerate() {
+        let pair = [entry, entries[(idx + entries.len() / 2) % entries.len()]];
+        let Some(merged) = pair[0].assignments.merged(&pair[1].assignments) else {
+            continue;
+        };
+        let firsts: Vec<Option<pdf_atpg::Justified>> = engines
+            .iter_mut()
+            .map(|j| j.justify(&pair[0].assignments))
+            .collect();
+        let results: Vec<Option<pdf_atpg::Justified>> = engines
+            .iter_mut()
+            .zip(&firsts)
+            .map(|(j, first)| {
+                let pins = first.as_ref().map_or(&[][..], |r| &r.assignment[..]);
+                j.justify_seeded(&merged, pins)
+            })
+            .collect();
+        if let Some(first) = &firsts[0] {
+            violated_entries += usize::from(entry_state_violates(c, &merged, &first.assignment));
+        }
+        for (k, opts) in blocks.iter().enumerate().skip(1) {
+            for (oracle, r, what) in [
+                (&firsts[0], &firsts[k], "first"),
+                (&results[0], &results[k], "seeded"),
+            ] {
+                assert_eq!(
+                    oracle.is_some(),
+                    r.is_some(),
+                    "{opts:?} disagrees on the {what} call for {} + {} (seed {seed})",
+                    pair[0].fault,
+                    pair[1].fault
+                );
+                if let (Some(s), Some(p)) = (oracle, r) {
+                    assert_eq!(
+                        s.test, p.test,
+                        "{what} witness mismatch under {opts:?} on {} + {} (seed {seed})",
+                        pair[0].fault, pair[1].fault
+                    );
+                }
+            }
+            if let Some(p) = &results[k] {
+                assert!(merged.satisfied_by(&p.waves), "{opts:?} (seed {seed})");
+            }
+        }
+    }
+    let oracle_stats = engines[0].stats();
+    for (j, opts) in engines.iter().zip(&blocks) {
+        let stats = j.stats();
+        assert_eq!(oracle_stats.successes, stats.successes, "{opts:?}");
+        assert_eq!(oracle_stats.conflicts, stats.conflicts, "{opts:?}");
+        assert_eq!(oracle_stats.unsatisfied, stats.unsatisfied, "{opts:?}");
+    }
+    violated_entries
 }
 
 #[test]
@@ -102,6 +196,30 @@ fn engines_agree_on_s27_across_seeds() {
     for seed in [1, 2, 7, 2002, 0xDEAD_BEEF] {
         check_engines_agree(&c, seed, 2);
     }
+}
+
+#[test]
+fn seeded_engines_agree_on_s27_across_seeds() {
+    let c = pdf_netlist::iscas::s27();
+    let mut violated_entries = 0;
+    for seed in [1, 2, 7, 2002, 0xDEAD_BEEF] {
+        violated_entries += check_seeded_engines_agree(&c, seed, 2);
+    }
+    assert!(
+        violated_entries > 0,
+        "the pins must sometimes violate the merged requirements on entry"
+    );
+}
+
+#[test]
+fn seeded_engines_agree_on_a_redundant_stand_in() {
+    let c = pdf_netlist::stand_in_profile("b03+r")
+        .expect("known stand-in")
+        .generate()
+        .to_circuit()
+        .expect("combinational");
+    let violated_entries = check_seeded_engines_agree(&c, 2002, 1);
+    assert!(violated_entries > 0, "no seeded call entered violated");
 }
 
 #[test]
@@ -152,5 +270,10 @@ proptest! {
     #[test]
     fn engines_agree_on_synth_circuits(c in arb_circuit(), seed in any::<u64>()) {
         check_engines_agree(&c, seed, 1);
+    }
+
+    #[test]
+    fn seeded_engines_agree_on_synth_circuits(c in arb_circuit(), seed in any::<u64>()) {
+        check_seeded_engines_agree(&c, seed, 1);
     }
 }

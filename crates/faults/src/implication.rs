@@ -74,6 +74,11 @@ pub struct Implicator<'c> {
     queue: std::collections::VecDeque<LineId>,
     queued: Vec<bool>,
     learned: Option<&'c LearnedImplications>,
+    /// `(line index, previous value)` of every value change made while
+    /// [`Implicator::conflicts_with`] probes; empty otherwise.
+    trail: Vec<(u32, Triple)>,
+    /// Whether value changes are logged to `trail`.
+    recording: bool,
 }
 
 impl<'c> Implicator<'c> {
@@ -86,6 +91,8 @@ impl<'c> Implicator<'c> {
             queue: std::collections::VecDeque::new(),
             queued: vec![false; circuit.line_count()],
             learned: None,
+            trail: Vec::new(),
+            recording: false,
         }
     }
 
@@ -162,10 +169,54 @@ impl<'c> Implicator<'c> {
             return Err(ImplicationConflict { line });
         };
         if merged != current {
-            self.values[line.index()] = merged;
-            self.touch(line);
+            self.set_value(line, current, merged);
         }
         Ok(())
+    }
+
+    /// Would adding `extra` to the requirements this engine holds be
+    /// contradictory? Assigns `extra`, propagates to the fixpoint, and
+    /// then restores every value it changed, so the engine is left
+    /// exactly as it was — conflicting probes included — and can be
+    /// probed again.
+    ///
+    /// The verdict equals that of a fresh engine seeded with both
+    /// requirement sets ([`Implicator::from_assignments_with`] on the
+    /// merge, with the same learned table): every rule is a monotone
+    /// narrowing of line values, so the fixpoint, and whether a conflict
+    /// is reached, do not depend on the order in which the rules fire.
+    ///
+    /// Call it on an engine at its fixpoint (after a successful
+    /// [`Implicator::propagate`]). If the call panics, the engine state is
+    /// undefined and must be discarded.
+    pub fn conflicts_with(&mut self, extra: &Assignments) -> bool {
+        debug_assert!(self.queue.is_empty(), "probe an engine at its fixpoint");
+        self.recording = true;
+        let conflict = extra
+            .iter()
+            .try_for_each(|(line, req)| self.assign(line, req))
+            .and_then(|()| self.propagate())
+            .is_err();
+        if conflict {
+            while let Some(line) = self.queue.pop_front() {
+                self.queued[line.index()] = false;
+            }
+        }
+        for (raw, old) in self.trail.drain(..).rev() {
+            self.values[raw as usize] = old;
+        }
+        self.recording = false;
+        conflict
+    }
+
+    /// Narrows `line` from `current` to `merged`, logging the old value
+    /// while a probe records, and queues the affected neighbourhood.
+    fn set_value(&mut self, line: LineId, current: Triple, merged: Triple) {
+        if self.recording {
+            self.trail.push((line.index() as u32, current));
+        }
+        self.values[line.index()] = merged;
+        self.touch(line);
     }
 
     fn touch(&mut self, line: LineId) {
@@ -267,8 +318,7 @@ impl<'c> Implicator<'c> {
         let current = self.values[line.index()];
         let merged = current.intersect(new).ok_or(ImplicationConflict { line })?;
         if merged != current {
-            self.values[line.index()] = merged;
-            self.touch(line);
+            self.set_value(line, current, merged);
         }
         Ok(())
     }

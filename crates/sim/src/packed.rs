@@ -557,6 +557,28 @@ impl<W: SimWord> PackedBlock<W> {
         }
         lanes
     }
+
+    /// The lanes whose simulated waveforms *violate* some requirement of
+    /// `req` (a specified component the lane proves to be the opposite
+    /// value) — the packed equivalent of `W::LANES`
+    /// `Assignments::violated_by` calls, as
+    /// [`PackedBlock::satisfied_lanes`] is of `satisfied_by`. An `x` lane
+    /// component never violates, so unloaded (all-zero) lanes never do.
+    #[must_use]
+    pub fn violated_lanes(&self, req: &Assignments) -> W {
+        let mut lanes = W::ZERO;
+        for (line, tri) in req.iter() {
+            let p = &self.planes[line.index()];
+            for (c, v) in tri.components().into_iter().enumerate() {
+                match v {
+                    Value::Zero => lanes = lanes.or(p[2 * c + 1]),
+                    Value::One => lanes = lanes.or(p[2 * c]),
+                    Value::X => {}
+                }
+            }
+        }
+        lanes
+    }
 }
 
 #[cfg(test)]

@@ -74,6 +74,42 @@ fn check_waveforms<W: SimWord>(c: &Circuit, tests: &[TwoPattern]) -> Result<(), 
     Ok(())
 }
 
+/// Loads `tests` into a `W`-tile block (chunked) and checks, per lane,
+/// `violated_lanes` against the scalar `violated_by` for every fault's
+/// requirements. Lanes beyond a partial chunk must never report a
+/// violation.
+fn check_violated_lanes<W: SimWord>(
+    c: &Circuit,
+    tests: &[TwoPattern],
+    faults: &FaultList,
+) -> Result<(), TestCaseError> {
+    let mut block: PackedBlock<W> = PackedBlock::new();
+    for chunk in tests.chunks(W::LANES) {
+        block.load(c, chunk);
+        let waves: Vec<_> = chunk
+            .iter()
+            .map(|t| simulate_triples(c, &t.to_triples()))
+            .collect();
+        for entry in faults.iter() {
+            let lanes = block.violated_lanes(&entry.assignments);
+            for lane in 0..W::LANES {
+                let expected = waves
+                    .get(lane)
+                    .is_some_and(|w| entry.assignments.violated_by(w));
+                prop_assert_eq!(
+                    lanes.lane(lane),
+                    expected,
+                    "lane {} width {} requirements {}",
+                    lane,
+                    W::LANES,
+                    &entry.assignments
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -168,5 +204,22 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn violated_lanes_agree_with_scalar_violated_by_at_every_width(
+        (c, tests) in arb_circuit().prop_flat_map(|c| {
+            let n = c.inputs().len();
+            (Just(c), arb_tests(n))
+        })
+    ) {
+        // Partially specified lanes (the generator mixes in `x`) are where
+        // violated and not-satisfied differ.
+        let paths = PathEnumerator::new(&c).with_cap(64).enumerate();
+        let (faults, _) = FaultList::build(&c, &paths.store);
+        prop_assume!(!faults.is_empty());
+        check_violated_lanes::<u64>(&c, &tests, &faults)?;
+        check_violated_lanes::<[u64; 4]>(&c, &tests, &faults)?;
+        check_violated_lanes::<[u64; 8]>(&c, &tests, &faults)?;
     }
 }

@@ -128,6 +128,13 @@ pub mod counters {
     /// Guided-search branch decisions taken deterministically by the
     /// SCOAP testability guide instead of the justifier's RNG.
     pub const SCOAP_GUIDED_BRANCHES: &str = "scoap_guided_branches";
+    /// Necessary-value fixpoint passes of the justifier: bit-plane probe
+    /// passes on the packed backend, sequential sweeps on the scalar
+    /// oracle.
+    pub const FIXPOINT_PASSES: &str = "fixpoint_passes";
+    /// Secondary candidates the generator's implication pre-filter probed
+    /// against the test's kept requirement-union implicator.
+    pub const PREFILTER_PROBES: &str = "prefilter_probes";
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);

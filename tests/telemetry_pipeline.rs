@@ -77,6 +77,11 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     // blocks and resolves most s27 calls by a random-completion lane.
     assert!(report.counter(counters::JUSTIFY_PACKED_BLOCKS).unwrap() > 0);
     assert!(report.counter(counters::JUSTIFY_LANE_HITS).unwrap() > 0);
+    // The necessary-value fixpoint runs probe passes on every call, and
+    // enrichment probes secondary candidates on the kept union
+    // implicator before justifying them.
+    assert!(report.counter(counters::FIXPOINT_PASSES).unwrap() > 0);
+    assert!(report.counter(counters::PREFILTER_PROBES).unwrap() > 0);
     // The enrichment set may already be minimal, so tests_dropped need
     // not be positive; it is recorded even when zero.
     assert!(report.counter(counters::TESTS_DROPPED).is_some());
