@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pdf_atpg::{Justifier, SimBackend, TestSet};
 use pdf_bench::setup;
 use pdf_netlist::simulate_triples;
-use pdf_sim::{PackedBlock, LANES};
+use pdf_sim::{PackedBlock, Tile};
 
 /// A deterministic many-test workload: justified tests for the first
 /// faults, cycled up to `count` tests.
@@ -34,18 +34,9 @@ fn bench_circuit(c: &mut Criterion, name: &str, n_p: usize, n_p0: usize) {
         b.iter(|| simulate_triples(&s.circuit, &triples));
     });
     group.bench_function(format!("{name}/waveforms_packed_block"), |b| {
-        // One packed pass = 64 tests; amortized cost per test is this /64.
-        let block_tests = &tests.tests()[..LANES];
-        let mut block: PackedBlock = PackedBlock::new();
-        b.iter(|| {
-            block.load(&s.circuit, block_tests);
-            block.lanes()
-        });
-    });
-    group.bench_function(format!("{name}/waveforms_packed_block_512"), |b| {
-        // One 512-lane pass = 256 tests here; amortized cost is this /256.
-        let block_tests = tests.tests();
-        let mut block: PackedBlock<[u64; 8]> = PackedBlock::new();
+        // One packed pass = 256 tests; amortized cost per test is this /256.
+        let block_tests = &tests.tests()[..Tile::LANES];
+        let mut block = PackedBlock::new();
         b.iter(|| {
             block.load(&s.circuit, block_tests);
             block.lanes()

@@ -4,17 +4,16 @@
 //! The completion figure of merit is *attempts per second*: one attempt
 //! is one fully specified random completion of the necessary-value
 //! fixpoint, evaluated through the requirement cone. The packed backend
-//! evaluates up to its tile width of them per cone simulation (the width
-//! `SimWidth::auto` picks for the CPU); the scalar oracle simulates
-//! each individually (stopping early at the first hit, which the count
-//! reflects). Both engines draw identical random fill words, so they find
-//! the same tests for the same faults — asserted below, test by test.
+//! evaluates up to 256 of them per cone simulation; the scalar oracle
+//! simulates each individually (stopping early at the first hit, which
+//! the count reflects). Both engines draw identical random fill words,
+//! so they find the same tests for the same faults — asserted below,
+//! test by test.
 //!
 //! The necessary-value fixpoint is the other backend-dependent layer: the
 //! scalar oracle probes one slot at a time, the packed backend probes up
-//! to half its tile width of slots per bit-plane pass. The `fixpoint`
-//! block reports both engines' fixpoint time next to the end-to-end
-//! `total_seconds`.
+//! to 128 slots per bit-plane pass. The `fixpoint` block reports both
+//! engines' fixpoint time next to the end-to-end `total_seconds`.
 //!
 //! Propagation is event-driven: each completion pass re-evaluates only
 //! the lines whose input rails actually changed; the `events` block
@@ -25,7 +24,7 @@
 
 use std::time::Instant;
 
-use pdf_atpg::{BudgetSpec, Justifier, JustifyStats, RunBudget, SimBackend, SimOptions};
+use pdf_atpg::{BudgetSpec, Justifier, JustifyStats, RunBudget, SimBackend};
 use pdf_bench::setup;
 use pdf_experiments::json::Json;
 use pdf_netlist::TwoPattern;
@@ -103,11 +102,13 @@ fn main() {
     let s = setup(&circuit_name, 2_000, 200);
     let entries: Vec<_> = s.faults.iter().collect();
     assert!(!entries.is_empty(), "no faults on {circuit_name}");
-    let run = |o: SimOptions| {
+    let run = |backend: SimBackend| {
         let entries = &entries;
         let circuit = &s.circuit;
         move || {
-            let mut justifier = Justifier::new(circuit, 3).with_attempts(4).with_options(o);
+            let mut justifier = Justifier::new(circuit, 3)
+                .with_attempts(4)
+                .with_backend(backend);
             let tests = (0..n_calls)
                 .map(|call| {
                     // Every requirement set is visited twice in a row: the
@@ -126,10 +127,9 @@ fn main() {
         }
     };
 
-    let packed_opts = SimOptions::default();
     let budget = bench_budget();
-    let scalar = measure(&budget, run(SimBackend::Scalar.into()));
-    let packed = measure(&budget, run(packed_opts));
+    let scalar = measure(&budget, run(SimBackend::Scalar));
+    let packed = measure(&budget, run(SimBackend::Packed));
     assert_eq!(
         scalar.run.tests, packed.run.tests,
         "backends disagree on the justified tests"
@@ -156,7 +156,7 @@ fn main() {
          fixpoint {:.2}s -> {:.2}s ({fixpoint_speedup:.1}x), \
          end-to-end {:.2}s -> {:.2}s",
         packed.found(),
-        packed_opts.width.lanes(),
+        pdf_sim::Tile::LANES,
         lines_fraction * 100.0,
         scalar.run.fixpoint_seconds,
         packed.run.fixpoint_seconds,
@@ -184,7 +184,7 @@ fn main() {
             "packed",
             backend_json(&packed).field("blocks", packed.run.stats.packed_blocks),
         )
-        .field("width", packed_opts.width.lanes())
+        .field("width", pdf_sim::Tile::LANES)
         .field("speedup", speedup)
         .field(
             "fixpoint",

@@ -2,17 +2,14 @@
 //! stand-in and writes the result to `BENCH_pipeline.json`.
 //!
 //! The figure of merit is the end-to-end enrichment-generation time over
-//! one fault population. The report also records the auto-selected
-//! packed tile width alongside a per-width coverage timing of the
-//! generated test set, so the width calibration is auditable from the
-//! same artifact.
+//! one fault population; the report also records the packed tile width.
 //! Run with `--release` (ideally `RUSTFLAGS="-C target-cpu=native"`);
 //! circuit and workload can be overridden via `PDF_BENCH_CIRCUIT`,
 //! `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
 
 use std::time::Instant;
 
-use pdf_atpg::{AtpgConfig, BudgetSpec, EnrichmentAtpg, RunBudget, SimOptions, SimWidth};
+use pdf_atpg::{AtpgConfig, BudgetSpec, EnrichmentAtpg, RunBudget};
 use pdf_bench::setup;
 use pdf_experiments::json::Json;
 
@@ -65,27 +62,11 @@ fn main() {
             .run(&s.split)
     });
 
-    // Width calibration row: coverage of the generated test set at every
-    // packed tile width, plus the width `auto` resolved to.
     let tests = reference.tests();
-    let mut per_width = Json::object();
-    for width in SimWidth::ALL {
-        let o = SimOptions::default().with_width(width);
-        let (seconds, det) = measure(&budget, || {
-            tests
-                .coverage_with(o, &s.circuit, &s.faults)
-                .detected_count()
-        });
-        assert_eq!(det, reference.detected_total(), "width {width} disagrees");
-        per_width = per_width.field(width.label(), Json::object().field("seconds", seconds));
-    }
-
     println!(
-        "pipeline_throughput {circuit_name}: {} faults, {} tests; generate {generate_s:.3}s, \
-         auto width {}",
+        "pipeline_throughput {circuit_name}: {} faults, {} tests; generate {generate_s:.3}s",
         s.faults.len(),
         tests.len(),
-        SimWidth::auto().lanes(),
     );
 
     let report = Json::object()
@@ -96,9 +77,7 @@ fn main() {
         .field("tests", tests.len())
         .field("detected", reference.detected_total())
         .field("generate_seconds", generate_s)
-        .field("auto_width", SimWidth::auto().lanes())
-        .field("width", config.sim.width.lanes())
-        .field("per_width", per_width);
+        .field("width", pdf_sim::Tile::LANES);
     std::fs::write("BENCH_pipeline.json", report.to_pretty())
         .expect("cannot write BENCH_pipeline.json");
 }

@@ -3,18 +3,16 @@
 //!
 //! The figure of merit is *checks per second*: one check is one
 //! (test, fault) requirement evaluation, so a full coverage pass performs
-//! `tests × faults` of them. The packed engine is measured at every tile
-//! width (64/256/512 lanes); the headline `packed` row uses the width
-//! [`SimWidth::auto`] picks for the CPU, and a `thread_scaling` row sweeps that
-//! configuration over the real worker counts (1, 2, 4, … up to the
-//! machine's fan-out) to expose the scaling curve. Run with
-//! `--release` (ideally `RUSTFLAGS="-C target-cpu=native"` so the wide
-//! tiles vectorize); circuit and workload can be overridden via
+//! `tests × faults` of them. The packed engine runs 256-lane tiles; a
+//! `thread_scaling` row sweeps it over the real worker counts (1, 2, 4, …
+//! up to the machine's fan-out) to expose the scaling curve. Run with
+//! `--release` (ideally `RUSTFLAGS="-C target-cpu=native"` so the tile
+//! ops vectorize); circuit and workload can be overridden via
 //! `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS`.
 
 use std::time::Instant;
 
-use pdf_atpg::{BudgetSpec, Justifier, RunBudget, SimBackend, SimOptions, SimWidth, TestSet};
+use pdf_atpg::{BudgetSpec, Justifier, RunBudget, SimBackend, TestSet};
 use pdf_bench::setup;
 use pdf_experiments::json::Json;
 
@@ -75,33 +73,13 @@ fn main() {
 
     let checks = (tests.len() * s.faults.len()) as f64;
     let budget = bench_budget();
-    let coverage = |o: SimOptions| {
+    let coverage = |backend: SimBackend| {
         tests
-            .coverage_with(o, &s.circuit, &s.faults)
+            .coverage_with(backend, &s.circuit, &s.faults)
             .detected_count()
     };
-    let (scalar_s, scalar_det) = measure(&budget, || coverage(SimBackend::Scalar.into()));
-
-    // Every tile width, full fan-out.
-    let mut widths = Json::object();
-    let mut width_rates = Vec::new();
-    for width in SimWidth::ALL {
-        let o = SimOptions::default().with_width(width);
-        let (seconds, det) = measure(&budget, || coverage(o));
-        assert_eq!(det, scalar_det, "width {width} disagrees with scalar");
-        width_rates.push((width, checks / seconds));
-        widths = widths.field(
-            width.label(),
-            Json::object()
-                .field("seconds", seconds)
-                .field("checks_per_sec", checks / seconds)
-                .field("speedup_vs_scalar", scalar_s / seconds),
-        );
-    }
-
-    // The headline packed row: the auto-selected width.
-    let packed_opts = SimOptions::default();
-    let (packed_s, packed_det) = measure(&budget, || coverage(packed_opts));
+    let (scalar_s, scalar_det) = measure(&budget, || coverage(SimBackend::Scalar));
+    let (packed_s, packed_det) = measure(&budget, || coverage(SimBackend::Packed));
     assert_eq!(scalar_det, packed_det, "backends disagree on coverage");
 
     // Thread scaling: the same configuration swept over the actual
@@ -120,7 +98,7 @@ fn main() {
     let mut full_s = packed_s;
     for &n in &counts {
         std::env::set_var("PDF_SIM_THREADS", n.to_string());
-        let (seconds, det) = measure(&budget, || coverage(packed_opts));
+        let (seconds, det) = measure(&budget, || coverage(SimBackend::Packed));
         assert_eq!(det, packed_det, "{n} thread(s) changed coverage");
         if n == 1 {
             single_s = seconds;
@@ -158,13 +136,10 @@ fn main() {
         s.faults.len(),
         checks / scalar_s,
         checks / packed_s,
-        packed_opts.width.lanes(),
+        pdf_sim::Tile::LANES,
         threads,
         single_s / full_s,
     );
-    for (width, rate) in &width_rates {
-        println!("  width {:>3}: {rate:.3e} checks/s", width.lanes());
-    }
     for (n, rate) in &curve_rates {
         println!("  threads {n:>3}: {rate:.3e} checks/s");
     }
@@ -187,8 +162,7 @@ fn main() {
                 .field("seconds", packed_s)
                 .field("checks_per_sec", checks / packed_s),
         )
-        .field("width", packed_opts.width.lanes())
-        .field("widths", widths)
+        .field("width", pdf_sim::Tile::LANES)
         .field("speedup", speedup)
         .field("threads", threads)
         .field(

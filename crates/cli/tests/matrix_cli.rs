@@ -77,10 +77,10 @@ fn matrix_writes_a_parseable_report_file() {
     );
     // 6 sampled cells land on chaos and sensitize-on cells whose twins
     // (clean / sensitize-off, including twins of appended twins) fall
-    // outside the sample; the runner appends all 8 of them.
+    // outside the sample; the runner appends the 2 missing ones.
     assert_eq!(
         json.get("cells").and_then(pdf_telemetry::Json::as_num),
-        Some(14.0)
+        Some(8.0)
     );
     assert!(matches!(
         json.get("passed"),

@@ -30,7 +30,7 @@ use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineId, SplitMix64};
 use pdf_runctl::{Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
 
-use pdf_sim::SimOptions;
+use pdf_sim::SimBackend;
 
 use crate::testset::ParseTestSetError;
 use crate::{BranchGuide, Justified, Justifier, JustifyStats, TargetSplit, TestSet};
@@ -113,19 +113,17 @@ pub struct AtpgConfig {
     pub seed: u64,
     /// The compaction heuristic.
     pub compaction: Compaction,
-    /// Randomized 64-lane completion blocks per justification call (the
-    /// paper uses one attempt; a few more blocks trade run time for fewer
-    /// random misses).
+    /// Randomized 64-candidate completion groups per justification call
+    /// (the paper uses one attempt; a few more groups trade run time for
+    /// fewer random misses).
     pub justify_attempts: u32,
     /// How secondary targets extend the test under construction.
     pub secondary_mode: SecondaryMode,
-    /// The simulation options (backend, packed tile width) the justifier
-    /// evaluates completion blocks with. The default is the packed engine
-    /// at [`SimWidth::auto`](pdf_sim::SimWidth::auto); tests set the
-    /// scalar oracle or a fixed width here. All combinations produce
-    /// identical tests and coverage for a fixed seed; a bare
-    /// [`SimBackend`](pdf_sim::SimBackend) converts via `.into()`.
-    pub sim: SimOptions,
+    /// The simulation backend the justifier evaluates probes and
+    /// completion blocks with. The default is the packed engine; tests set
+    /// the scalar oracle here. Both produce identical tests and coverage
+    /// for a fixed seed.
+    pub sim: SimBackend,
     /// Ignored: the justifier keeps no cone cache. Kept so callers that
     /// still set it compile; it is not part of the checkpoint fingerprint.
     pub cone_cache: usize,
@@ -179,7 +177,7 @@ impl Default for AtpgConfig {
             compaction: Compaction::ValueBased,
             justify_attempts: 1,
             secondary_mode: SecondaryMode::default(),
-            sim: SimOptions::default(),
+            sim: SimBackend::default(),
             cone_cache: 0,
             budget: RunBudget::unlimited(),
             checkpoint: None,
@@ -194,9 +192,6 @@ impl Default for AtpgConfig {
 /// The configuration facets a checkpoint pins: resuming under a different
 /// compaction heuristic, secondary mode, attempt count or backend would
 /// silently diverge from the interrupted run, so resume refuses them.
-/// The tile width is deliberately *not* pinned: witnesses are
-/// byte-identical across widths, so resuming a run on a machine with a
-/// different vector width is safe.
 #[must_use]
 pub fn config_fingerprint(config: &AtpgConfig) -> String {
     let mut fp = format!(
@@ -204,7 +199,7 @@ pub fn config_fingerprint(config: &AtpgConfig) -> String {
         config.compaction.label(),
         config.secondary_mode.label(),
         config.justify_attempts,
-        config.sim.backend,
+        config.sim,
     );
     if let Some(table) = &config.learned {
         // A learned table changes which secondaries reach justification
@@ -673,7 +668,7 @@ impl<'a, 'c, 'f> Build<'a, 'c, 'f> {
         // primary alone.
         let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
             .with_attempts(ctx.config.justify_attempts)
-            .with_options(ctx.config.sim)
+            .with_backend(ctx.config.sim)
             .with_budget(budget.clone());
         if let Some(guide) = &ctx.config.guide {
             justifier = justifier.with_guide(guide.clone());
@@ -1372,7 +1367,7 @@ mod tests {
 
     use pdf_netlist::iscas::s27;
     use pdf_paths::PathEnumerator;
-    use pdf_sim::{SimBackend, SimWidth};
+    use pdf_sim::SimBackend;
 
     fn s27_faults() -> (Circuit, FaultList) {
         let c = s27();
@@ -1527,8 +1522,8 @@ mod tests {
     fn enrichment_coverage_is_backend_independent() {
         // Both completion engines draw the same random fill words per
         // block, so for equal seeds the whole multi-set run — tests,
-        // per-set detections, everything — is independent of the backend
-        // and of the packed tile width. The acceptance bar is per-set
+        // per-set detections, everything — is independent of the backend.
+        // The acceptance bar is per-set
         // coverage; test identity is stronger and currently holds.
         let synth = pdf_netlist::stand_in_profile("b09")
             .expect("known stand-in")
@@ -1539,32 +1534,26 @@ mod tests {
             let paths = PathEnumerator::new(&c).with_cap(400).enumerate();
             let (faults, _) = FaultList::build(&c, &paths.store);
             let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
-            let run = |opts: SimOptions| {
+            let run = |sim: SimBackend| {
                 EnrichmentAtpg::new(&c)
                     .with_config(AtpgConfig {
-                        sim: opts,
+                        sim,
                         justify_attempts: 2,
                         ..AtpgConfig::default()
                     })
                     .run(&split)
             };
-            let scalar = run(SimBackend::Scalar.into());
-            for width in SimWidth::ALL {
-                let packed = run(SimOptions::default().with_width(width));
-                for set in 0..2 {
-                    assert_eq!(
-                        scalar.detected_in_set(set),
-                        packed.detected_in_set(set),
-                        "set {set}, width {width}"
-                    );
-                }
-                assert_eq!(scalar.detected(), packed.detected(), "width {width}");
+            let scalar = run(SimBackend::Scalar);
+            let packed = run(SimBackend::Packed);
+            for set in 0..2 {
                 assert_eq!(
-                    scalar.tests().tests(),
-                    packed.tests().tests(),
-                    "width {width}"
+                    scalar.detected_in_set(set),
+                    packed.detected_in_set(set),
+                    "set {set}"
                 );
             }
+            assert_eq!(scalar.detected(), packed.detected());
+            assert_eq!(scalar.tests().tests(), packed.tests().tests());
         }
     }
 
@@ -1574,8 +1563,7 @@ mod tests {
         // committed pins, so the packed fixpoint meets entry states that
         // already violate a requirement; the basic (P0-only) run takes
         // the plain justify path. Both must be identical under the scalar
-        // oracle's sequential sweep and the packed lane-batched one, at
-        // every tile width.
+        // oracle's sequential sweep and the packed lane-batched one.
         let synth = pdf_netlist::stand_in_profile("b09")
             .expect("known stand-in")
             .generate()
@@ -1585,40 +1573,36 @@ mod tests {
             let paths = PathEnumerator::new(&c).with_cap(400).enumerate();
             let (faults, _) = FaultList::build(&c, &paths.store);
             let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
-            let config = |opts: SimOptions| AtpgConfig {
-                sim: opts,
+            let config = |sim: SimBackend| AtpgConfig {
+                sim,
                 justify_attempts: 2,
                 secondary_mode: SecondaryMode::FreezeValues,
                 ..AtpgConfig::default()
             };
-            let runs = |opts: SimOptions| {
+            let runs = |sim: SimBackend| {
                 [
-                    EnrichmentAtpg::new(&c)
-                        .with_config(config(opts))
-                        .run(&split),
+                    EnrichmentAtpg::new(&c).with_config(config(sim)).run(&split),
                     BasicAtpg::new(&c)
                         .with_config(AtpgConfig {
-                            sim: opts,
+                            sim,
                             ..AtpgConfig::default()
                         })
                         .run(split.p0()),
                 ]
             };
-            let scalar = runs(SimBackend::Scalar.into());
-            for width in SimWidth::ALL {
-                let packed = runs(SimOptions::default().with_width(width));
-                for (s, p) in scalar.iter().zip(&packed) {
-                    assert_eq!(s.tests().tests(), p.tests().tests(), "width {width}");
-                    assert_eq!(s.detected(), p.detected(), "width {width}");
-                    assert_eq!(s.aborted(), p.aborted(), "width {width}");
-                    let (ss, ps) = (s.stats(), p.stats());
-                    assert_eq!(ss.secondary_accepts, ps.secondary_accepts);
-                    assert_eq!(ss.secondary_rejects, ps.secondary_rejects);
-                    assert_eq!(ss.conflict_rejects, ps.conflict_rejects);
-                    assert_eq!(ss.justify.successes, ps.justify.successes);
-                    assert_eq!(ss.justify.conflicts, ps.justify.conflicts);
-                    assert_eq!(ss.justify.unsatisfied, ps.justify.unsatisfied);
-                }
+            let scalar = runs(SimBackend::Scalar);
+            let packed = runs(SimBackend::Packed);
+            for (s, p) in scalar.iter().zip(&packed) {
+                assert_eq!(s.tests().tests(), p.tests().tests());
+                assert_eq!(s.detected(), p.detected());
+                assert_eq!(s.aborted(), p.aborted());
+                let (ss, ps) = (s.stats(), p.stats());
+                assert_eq!(ss.secondary_accepts, ps.secondary_accepts);
+                assert_eq!(ss.secondary_rejects, ps.secondary_rejects);
+                assert_eq!(ss.conflict_rejects, ps.conflict_rejects);
+                assert_eq!(ss.justify.successes, ps.justify.successes);
+                assert_eq!(ss.justify.conflicts, ps.justify.conflicts);
+                assert_eq!(ss.justify.unsatisfied, ps.justify.unsatisfied);
             }
         }
     }

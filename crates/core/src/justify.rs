@@ -11,20 +11,19 @@
 //!    value is assigned permanently; if both conflict, justification
 //!    fails. The packed backend probes every open slot of a sweep at
 //!    once — slot `k` of a pass on lanes `2k` (value 0) and `2k + 1`
-//!    (value 1) of one bit-plane pass, `tile width / 2` slots per pass —
+//!    (value 1) of one 256-lane bit-plane pass, 128 slots per pass —
 //!    and applies the forced values together; the scalar oracle probes
 //!    slot by slot and applies each forced value at once. Ternary
 //!    simulation is monotone, so both schedules reach the same fixpoint
 //!    or fail on the same calls (`DESIGN.md` §10);
 //! 3. **random completion**: the surviving free positions are filled with
-//!    random values in groups of [`pdf_sim::LANES`] (= 64) complete
-//!    candidate tests, all groups drawn up front. The packed backend
-//!    simulates up to `tile width / 64` groups per bit-plane pass (one
-//!    pass at width 64, fewer passes as the tile widens); the scalar
-//!    oracle walks the same candidates one cone simulation each. The
-//!    lowest-numbered candidate whose waveforms satisfy every requirement
-//!    (hazard-freeness included) becomes the witness, so every backend
-//!    and tile width returns the same test;
+//!    random values in groups of 64 complete candidate tests (one random
+//!    `u64` word per free position), all groups drawn up front. The packed
+//!    backend simulates up to 4 groups per 256-lane bit-plane pass; the
+//!    scalar oracle walks the same candidates one cone simulation each.
+//!    The lowest-numbered candidate whose waveforms satisfy every
+//!    requirement (hazard-freeness included) becomes the witness, so both
+//!    backends return the same test;
 //! 4. if no completion block hits, the paper's **guided decision search**
 //!    runs as a fallback: an input with exactly one specified pattern
 //!    value is stabilized, else a random unspecified position of a random
@@ -40,7 +39,14 @@ use pdf_faults::Assignments;
 use pdf_logic::{Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind, SplitMix64, TwoPattern};
 use pdf_runctl::RunBudget;
-use pdf_sim::{PackedBlock, SimBackend, SimOptions, SimWidth, SimWord, LANES};
+use pdf_sim::{PackedBlock, SimBackend, Tile};
+
+/// Candidates per random-completion group: one random `u64` fill word per
+/// free position gives 64 candidates, bit `j` being candidate `j`.
+const GROUP: usize = 64;
+
+/// Completion groups one packed pass evaluates: one per tile word.
+const GROUPS_PER_PASS: usize = Tile::LANES / GROUP;
 
 /// Per-line branching costs guiding the justifier's decision search —
 /// plain data, so the core stays independent of how the costs are
@@ -142,18 +148,18 @@ pub struct JustifyStats {
     pub conflicts: usize,
     /// Calls that failed the final hazard/satisfaction check.
     pub unsatisfied: usize,
-    /// Cone simulations performed. A packed pass counts as one, whatever
-    /// its tile width: a completion pass, or a necessary-value probe pass
-    /// covering up to `tile width / 2` slots.
+    /// Cone simulations performed. A packed pass counts as one: a
+    /// completion pass, or a necessary-value probe pass covering up to
+    /// 128 slots.
     pub simulations: usize,
     /// Random completions evaluated. The packed backend evaluates whole
-    /// passes (up to its tile width in lanes) at once; the scalar oracle
-    /// stops at the first satisfying lane, so its count can be lower for
-    /// the same calls.
+    /// passes (up to 256 lanes) at once; the scalar oracle stops at the
+    /// first satisfying lane, so its count can be lower for the same
+    /// calls.
     pub completion_attempts: usize,
     /// Bit-plane completion passes simulated (packed backend). A pass
-    /// covers up to `tile width` candidate lanes, so this count shrinks
-    /// as the width grows. Necessary-value probe passes are counted in
+    /// covers up to 4 completion groups (256 candidate lanes).
+    /// Necessary-value probe passes are counted in
     /// [`JustifyStats::fixpoint_passes`] instead.
     pub packed_blocks: usize,
     /// Calls resolved by a random-completion lane rather than the guided
@@ -176,8 +182,8 @@ pub struct JustifyStats {
     /// guide.
     pub scoap_guided_branches: usize,
     /// Necessary-value fixpoint passes: bit-plane probe passes on the
-    /// packed backend (each probes up to `tile width / 2` open slots),
-    /// whole sequential sweeps on the scalar oracle.
+    /// packed backend (each probes up to 128 open slots), whole
+    /// sequential sweeps on the scalar oracle.
     pub fixpoint_passes: usize,
 }
 
@@ -235,13 +241,12 @@ pub struct Justifier<'c> {
     circuit: &'c Circuit,
     rng: SplitMix64,
     attempts: u32,
-    opts: SimOptions,
+    backend: SimBackend,
     stats: JustifyStats,
     /// Scratch waveform buffer, one slot per line.
     scratch: Vec<Triple>,
-    /// Reusable bit-plane arena for packed probe and completion passes, at
-    /// the width selected by [`Justifier::with_options`].
-    packed: PackedArena,
+    /// Reusable bit-plane arena for packed probe and completion passes.
+    packed: PackedBlock,
     /// Optional SCOAP branch guide for the guided decision search.
     guide: Option<std::sync::Arc<BranchGuide>>,
     /// Wall time spent inside completion blocks (phase 2 only).
@@ -259,15 +264,14 @@ impl<'c> Justifier<'c> {
     /// block per call and the default packed backend.
     #[must_use]
     pub fn new(circuit: &'c Circuit, seed: u64) -> Justifier<'c> {
-        let opts = SimOptions::default();
         Justifier {
             circuit,
             rng: SplitMix64::new(seed),
             attempts: 1,
-            opts,
+            backend: SimBackend::default(),
             stats: JustifyStats::default(),
             scratch: vec![Triple::UNKNOWN; circuit.line_count()],
-            packed: PackedArena::new(opts.width),
+            packed: PackedBlock::new(),
             guide: None,
             completion: std::time::Duration::ZERO,
             fixpoint: std::time::Duration::ZERO,
@@ -280,7 +284,7 @@ impl<'c> Justifier<'c> {
     /// paper notes such misses as the source of its run-to-run variation.
     /// The RNG draws every group's fill words up front, so the witness
     /// (and the RNG stream) depends only on this count, never on the
-    /// backend or tile width evaluating the groups.
+    /// backend evaluating the groups.
     #[must_use]
     pub fn with_attempts(mut self, attempts: u32) -> Justifier<'c> {
         self.attempts = attempts.max(1);
@@ -292,20 +296,15 @@ impl<'c> Justifier<'c> {
     /// Both agree on justifiability for equal seeds.
     #[must_use]
     pub fn with_backend(mut self, backend: SimBackend) -> Justifier<'c> {
-        self.opts.backend = backend;
+        self.backend = backend;
         self
     }
 
-    /// Installs a full simulation option block: backend and packed tile
-    /// width. Replaces the packed arena, so call it before the first
-    /// `justify`. All combinations produce byte-identical witnesses for
-    /// equal seeds.
+    /// The same as [`Justifier::with_backend`]. Kept because `perfbench`
+    /// calls it.
     #[must_use]
-    pub fn with_options(mut self, opts: impl Into<SimOptions>) -> Justifier<'c> {
-        let opts = opts.into();
-        self.opts = opts;
-        self.packed = PackedArena::new(opts.width);
-        self
+    pub fn with_options(self, backend: SimBackend) -> Justifier<'c> {
+        self.with_backend(backend)
     }
 
     /// Does nothing: the justifier keeps no cone cache and builds every
@@ -434,8 +433,7 @@ impl<'c> Justifier<'c> {
         // open slot `k` is draw `g·|open| + k`; bit `j` of a word is
         // candidate `g·64 + j`'s value for that slot), so the RNG stream
         // and the first satisfying candidate — the witness — are
-        // identical for every backend and tile width. Wider tiles merely
-        // evaluate more groups per propagation pass.
+        // identical for both backends.
         let open: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| (0..2).map(move |pos| (i, pos)))
             .filter(|&(i, pos)| !pick(&state[i], pos).is_specified())
@@ -454,7 +452,7 @@ impl<'c> Justifier<'c> {
         match outcome {
             PassOutcome::Aborted => return None,
             PassOutcome::Hit(candidate) => {
-                let g = candidate / LANES;
+                let g = candidate / GROUP;
                 if g > 0 {
                     pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_RETRIES, g as u64);
                 }
@@ -462,7 +460,7 @@ impl<'c> Justifier<'c> {
                 self.stats.lane_hits += 1;
                 let mut full = state;
                 for (k, &(i, pos)) in open.iter().enumerate() {
-                    let bit = fills[g * open.len() + k] >> (candidate % LANES) & 1 == 1;
+                    let bit = fills[g * open.len() + k] >> (candidate % GROUP) & 1 == 1;
                     set(&mut full[i], pos, Value::from(bit));
                 }
                 self.stats.successes += 1;
@@ -491,7 +489,7 @@ impl<'c> Justifier<'c> {
     /// Maintains the scratch invariant.
     fn fixpoint(&mut self, req: &Assignments, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
         let start = std::time::Instant::now();
-        let ok = if self.opts.backend == SimBackend::Scalar {
+        let ok = if self.backend == SimBackend::Scalar {
             self.sequential_fixpoint(cone, state)
         } else {
             self.batched_fixpoint(req, cone, state)
@@ -537,8 +535,8 @@ impl<'c> Justifier<'c> {
         }
     }
 
-    /// The packed backend's schedule (Jacobi): probe up to
-    /// `tile width / 2` open slots per bit-plane pass against the same
+    /// The packed backend's schedule (Jacobi): probe up to 128 open slots
+    /// per 256-lane bit-plane pass against the same
     /// committed state, then apply every forced value of the pass. Both
     /// schedules reach the same least fixpoint, and fail on the same
     /// calls, because ternary simulation is monotone (`DESIGN.md` §10).
@@ -577,7 +575,6 @@ impl<'c> Justifier<'c> {
             trimmed = kept;
             &trimmed
         };
-        let slots_per_pass = self.opts.width.lanes() / 2;
         let mut open: Vec<(usize, usize)> = Vec::new();
         let mut forced: Vec<(usize, usize, Value)> = Vec::new();
         loop {
@@ -588,26 +585,9 @@ impl<'c> Justifier<'c> {
                     .filter(|&(i, pos)| !pick(&state[i], pos).is_specified()),
             );
             let mut assigned = false;
-            for slots in open.chunks(slots_per_pass) {
+            for slots in open.chunks(Tile::LANES / 2) {
                 forced.clear();
-                let Justifier {
-                    circuit,
-                    packed,
-                    stats,
-                    ..
-                } = self;
-                let ok = match packed {
-                    PackedArena::W64(b) => {
-                        probe_pass(b, circuit, check, cone, state, slots, &mut forced, stats)
-                    }
-                    PackedArena::W256(b) => {
-                        probe_pass(b, circuit, check, cone, state, slots, &mut forced, stats)
-                    }
-                    PackedArena::W512(b) => {
-                        probe_pass(b, circuit, check, cone, state, slots, &mut forced, stats)
-                    }
-                };
-                if !ok {
+                if !self.probe_pass(check, cone, state, slots, &mut forced) {
                     return false;
                 }
                 if forced.is_empty() {
@@ -642,8 +622,8 @@ impl<'c> Justifier<'c> {
     /// Evaluates every random-completion group of the call (free slots
     /// filled from `fills`, group-major: bit `j` of
     /// `fills[g·|open| + k]` is candidate `g·64 + j`'s value for
-    /// `open[k]`). Dispatches to the backend/width the justifier was
-    /// configured with; the outcome is identical across all of them.
+    /// `open[k]`). Dispatches to the justifier's backend; the outcome is
+    /// identical for both.
     fn completion_groups(
         &mut self,
         req: &Assignments,
@@ -653,26 +633,10 @@ impl<'c> Justifier<'c> {
         fills: &[u64],
         groups: usize,
     ) -> PassOutcome {
-        if self.opts.backend == SimBackend::Scalar {
-            return self.scalar_groups(req, cone, state, open, fills, groups);
-        }
-        let Justifier {
-            circuit,
-            packed,
-            stats,
-            budget,
-            ..
-        } = self;
-        match packed {
-            PackedArena::W64(b) => packed_passes(
-                b, circuit, req, cone, state, open, fills, groups, stats, budget,
-            ),
-            PackedArena::W256(b) => packed_passes(
-                b, circuit, req, cone, state, open, fills, groups, stats, budget,
-            ),
-            PackedArena::W512(b) => packed_passes(
-                b, circuit, req, cone, state, open, fills, groups, stats, budget,
-            ),
+        if self.backend == SimBackend::Scalar {
+            self.scalar_groups(req, cone, state, open, fills, groups)
+        } else {
+            self.packed_passes(req, cone, state, open, fills, groups)
         }
     }
 
@@ -692,7 +656,7 @@ impl<'c> Justifier<'c> {
             if g > 0 && self.budget.exhausted() {
                 return PassOutcome::Aborted;
             }
-            for bit in 0..LANES {
+            for bit in 0..GROUP {
                 for (k, &(i, pos)) in open.iter().enumerate() {
                     set(
                         &mut lane_state[i],
@@ -704,11 +668,141 @@ impl<'c> Justifier<'c> {
                 self.stats.simulations += 1;
                 self.stats.completion_attempts += 1;
                 if req.satisfied_by(&self.scratch) {
-                    return PassOutcome::Hit(g * LANES + bit);
+                    return PassOutcome::Hit(g * GROUP + bit);
                 }
             }
         }
         PassOutcome::Miss
+    }
+
+    /// Evaluates completion groups on the packed kernel, up to
+    /// [`GROUPS_PER_PASS`] per bit-plane pass. Lane numbering within a
+    /// pass is group-major — lane `g_local · 64 + bit` is global
+    /// candidate `(pass_start + g_local) · 64 + bit` — matching the scalar
+    /// oracle's scan order, so the first satisfying lane is the same
+    /// witness.
+    fn packed_passes(
+        &mut self,
+        req: &Assignments,
+        cone: &Cone,
+        state: &[(Value, Value)],
+        open: &[(usize, usize)],
+        fills: &[u64],
+        groups: usize,
+    ) -> PassOutcome {
+        let Justifier {
+            circuit,
+            packed: block,
+            stats,
+            budget,
+            ..
+        } = self;
+        let mut pass_start = 0usize;
+        while pass_start < groups {
+            if pass_start > 0 && budget.exhausted() {
+                return PassOutcome::Aborted;
+            }
+            let here = (groups - pass_start).min(GROUPS_PER_PASS);
+            stats.packed_blocks += 1;
+            stats.completion_attempts += here * GROUP;
+            stats.simulations += 1;
+            pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_PACKED_BLOCKS, 1);
+            // Broadcast the committed values across all lanes, then overwrite
+            // the free slots with their per-lane fill rails (one 64-candidate
+            // group per 64-bit word of the tile).
+            let mut first: Vec<(Tile, Tile)> = state.iter().map(|s| splat_rails(s.0)).collect();
+            let mut last: Vec<(Tile, Tile)> = state.iter().map(|s| splat_rails(s.1)).collect();
+            for (k, &(i, pos)) in open.iter().enumerate() {
+                let mut zero = Tile::ZERO;
+                let mut one = Tile::ZERO;
+                for g in 0..here {
+                    let w = fills[(pass_start + g) * open.len() + k];
+                    zero.set_word(g, !w);
+                    one.set_word(g, w);
+                }
+                if pos == 0 {
+                    first[i] = (zero, one);
+                } else {
+                    last[i] = (zero, one);
+                }
+            }
+            block.begin_block(circuit);
+            for (k, &pi) in cone.topo.pis.iter().enumerate() {
+                block.set_input_rails(pi, first[k], last[k]);
+            }
+            block.propagate_over(circuit, &cone.topo.order);
+            let kernel = block.take_kernel_stats();
+            stats.events_propagated += kernel.events_propagated;
+            stats.lines_skipped += kernel.lines_skipped;
+            pdf_telemetry::count(
+                pdf_telemetry::counters::EVENTS_PROPAGATED,
+                kernel.events_propagated,
+            );
+            pdf_telemetry::count(pdf_telemetry::counters::LINES_SKIPPED, kernel.lines_skipped);
+            // Unused tile groups of a partial pass carry broadcast-only lanes
+            // that may spuriously satisfy the requirements — mask them off.
+            let lanes = block.satisfied_lanes(req) & Tile::low_lanes(here * GROUP);
+            if let Some(lane) = lanes.first_lane() {
+                return PassOutcome::Hit(pass_start * GROUP + lane);
+            }
+            pass_start += here;
+        }
+        PassOutcome::Miss
+    }
+
+    /// One necessary-value probe pass on the packed kernel: slot `k` of
+    /// `slots` is trial-assigned `0` on lane `2k` and `1` on lane `2k + 1`;
+    /// every other lane carries the committed state. Pushes each slot whose
+    /// trial values split (exactly one violates `req`) onto `forced` with the
+    /// surviving value; returns `false` if some slot's two values both
+    /// violate.
+    ///
+    /// The kernel's event counters are drained and dropped: they describe
+    /// completion passes only.
+    fn probe_pass(
+        &mut self,
+        req: &Assignments,
+        cone: &Cone,
+        state: &[(Value, Value)],
+        slots: &[(usize, usize)],
+        forced: &mut Vec<(usize, usize, Value)>,
+    ) -> bool {
+        debug_assert!(slots.len() <= Tile::LANES / 2);
+        let Justifier {
+            circuit,
+            packed: block,
+            stats,
+            ..
+        } = self;
+        stats.fixpoint_passes += 1;
+        stats.simulations += 1;
+        pdf_telemetry::count(pdf_telemetry::counters::FIXPOINT_PASSES, 1);
+        block.begin_block(circuit);
+        // `slots` is in (input, position) order, so one cursor walks it
+        // alongside the inputs.
+        let mut slot_lanes = slots.iter().enumerate().peekable();
+        for (i, &pi) in cone.topo.pis.iter().enumerate() {
+            let mut rails = [splat_rails(state[i].0), splat_rails(state[i].1)];
+            while let Some((k, &(_, pos))) = slot_lanes.next_if(|(_, slot)| slot.0 == i) {
+                // An open slot is `x`, so both of its rails are still all-zero.
+                rails[pos].0.set_lane(2 * k);
+                rails[pos].1.set_lane(2 * k + 1);
+            }
+            block.set_input_rails(pi, rails[0], rails[1]);
+        }
+        debug_assert!(slot_lanes.next().is_none(), "slots must be in input order");
+        block.propagate_over(circuit, &cone.topo.order);
+        let _ = block.take_kernel_stats();
+        let bad = block.violated_lanes(req);
+        for (k, &(i, pos)) in slots.iter().enumerate() {
+            match (bad.lane(2 * k), bad.lane(2 * k + 1)) {
+                (true, true) => return false,
+                (true, false) => forced.push((i, pos, Value::One)),
+                (false, true) => forced.push((i, pos, Value::Zero)),
+                (false, false) => {}
+            }
+        }
+        true
     }
 
     /// The guided decision search (paper steps 2–4), entered with the
@@ -933,35 +1027,13 @@ fn fully_specified(state: &[(Value, Value)]) -> bool {
 }
 
 /// A committed value as `(zero_rail, one_rail)` tiles broadcast across
-/// every lane of the word type.
+/// every lane.
 #[inline]
-fn splat_rails<W: SimWord>(v: Value) -> (W, W) {
+fn splat_rails(v: Value) -> (Tile, Tile) {
     match v {
-        Value::Zero => (W::ONES, W::ZERO),
-        Value::One => (W::ZERO, W::ONES),
-        Value::X => (W::ZERO, W::ZERO),
-    }
-}
-
-/// The justifier's reusable bit-plane arena, monomorphized at the tile
-/// width selected via [`Justifier::with_options`]. Keeping the width in a
-/// closed enum (rather than a type parameter on [`Justifier`]) leaves the
-/// engine's public type width-independent — the width is picked at run
-/// time, by [`SimWidth::auto`] unless a caller pins one.
-#[derive(Clone, Debug)]
-enum PackedArena {
-    W64(PackedBlock<u64>),
-    W256(PackedBlock<[u64; 4]>),
-    W512(PackedBlock<[u64; 8]>),
-}
-
-impl PackedArena {
-    fn new(width: SimWidth) -> PackedArena {
-        match width {
-            SimWidth::W64 => PackedArena::W64(PackedBlock::new()),
-            SimWidth::W256 => PackedArena::W256(PackedBlock::new()),
-            SimWidth::W512 => PackedArena::W512(PackedBlock::new()),
-        }
+        Value::Zero => (Tile::ONES, Tile::ZERO),
+        Value::One => (Tile::ZERO, Tile::ONES),
+        Value::X => (Tile::ZERO, Tile::ZERO),
     }
 }
 
@@ -974,130 +1046,6 @@ enum PassOutcome {
     Miss,
     /// The run budget expired between passes.
     Aborted,
-}
-
-/// Evaluates completion groups on the packed kernel, up to `W::WORDS`
-/// groups per bit-plane pass. Lane numbering within a pass is
-/// sub-block-major — lane `g_local · 64 + bit` is global candidate
-/// `(pass_start + g_local) · 64 + bit` — matching the scalar oracle's
-/// scan order, so the first satisfying lane is the same witness.
-#[allow(clippy::too_many_arguments)]
-fn packed_passes<W: SimWord>(
-    block: &mut PackedBlock<W>,
-    circuit: &Circuit,
-    req: &Assignments,
-    cone: &Cone,
-    state: &[(Value, Value)],
-    open: &[(usize, usize)],
-    fills: &[u64],
-    groups: usize,
-    stats: &mut JustifyStats,
-    budget: &RunBudget,
-) -> PassOutcome {
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
-    let mut pass_start = 0usize;
-    while pass_start < groups {
-        if pass_start > 0 && budget.exhausted() {
-            return PassOutcome::Aborted;
-        }
-        let here = (groups - pass_start).min(W::WORDS);
-        stats.packed_blocks += 1;
-        stats.completion_attempts += here * LANES;
-        stats.simulations += 1;
-        pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_PACKED_BLOCKS, 1);
-        // Broadcast the committed values across all lanes, then overwrite
-        // the free slots with their per-lane fill rails (one 64-candidate
-        // group per 64-bit word of the tile).
-        let mut first: Vec<(W, W)> = state.iter().map(|s| splat_rails(s.0)).collect();
-        let mut last: Vec<(W, W)> = state.iter().map(|s| splat_rails(s.1)).collect();
-        for (k, &(i, pos)) in open.iter().enumerate() {
-            let mut zero = W::ZERO;
-            let mut one = W::ZERO;
-            for g in 0..here {
-                let w = fills[(pass_start + g) * open.len() + k];
-                zero.set_word(g, !w);
-                one.set_word(g, w);
-            }
-            if pos == 0 {
-                first[i] = (zero, one);
-            } else {
-                last[i] = (zero, one);
-            }
-        }
-        block.begin_block(circuit);
-        for (k, &pi) in cone.topo.pis.iter().enumerate() {
-            block.set_input_rails(pi, first[k], last[k]);
-        }
-        block.propagate_over(circuit, &cone.topo.order);
-        let kernel = block.take_kernel_stats();
-        stats.events_propagated += kernel.events_propagated;
-        stats.lines_skipped += kernel.lines_skipped;
-        pdf_telemetry::count(
-            pdf_telemetry::counters::EVENTS_PROPAGATED,
-            kernel.events_propagated,
-        );
-        pdf_telemetry::count(pdf_telemetry::counters::LINES_SKIPPED, kernel.lines_skipped);
-        // Unused tile groups of a partial pass carry broadcast-only lanes
-        // that may spuriously satisfy the requirements — mask them off.
-        let lanes = block.satisfied_lanes(req).and(W::low_lanes(here * LANES));
-        if let Some(lane) = lanes.first_lane() {
-            return PassOutcome::Hit(pass_start * LANES + lane);
-        }
-        pass_start += here;
-    }
-    PassOutcome::Miss
-}
-
-/// One necessary-value probe pass on the packed kernel: slot `k` of
-/// `slots` is trial-assigned `0` on lane `2k` and `1` on lane `2k + 1`;
-/// every other lane carries the committed state. Pushes each slot whose
-/// trial values split (exactly one violates `req`) onto `forced` with the
-/// surviving value; returns `false` if some slot's two values both
-/// violate.
-///
-/// The kernel's event counters are drained and dropped: they describe
-/// completion passes only.
-#[allow(clippy::too_many_arguments)]
-fn probe_pass<W: SimWord>(
-    block: &mut PackedBlock<W>,
-    circuit: &Circuit,
-    req: &Assignments,
-    cone: &Cone,
-    state: &[(Value, Value)],
-    slots: &[(usize, usize)],
-    forced: &mut Vec<(usize, usize, Value)>,
-    stats: &mut JustifyStats,
-) -> bool {
-    debug_assert!(slots.len() <= W::LANES / 2);
-    stats.fixpoint_passes += 1;
-    stats.simulations += 1;
-    pdf_telemetry::count(pdf_telemetry::counters::FIXPOINT_PASSES, 1);
-    block.begin_block(circuit);
-    // `slots` is in (input, position) order, so one cursor walks it
-    // alongside the inputs.
-    let mut slot_lanes = slots.iter().enumerate().peekable();
-    for (i, &pi) in cone.topo.pis.iter().enumerate() {
-        let mut rails = [splat_rails::<W>(state[i].0), splat_rails::<W>(state[i].1)];
-        while let Some((k, &(_, pos))) = slot_lanes.next_if(|(_, slot)| slot.0 == i) {
-            // An open slot is `x`, so both of its rails are still all-zero.
-            rails[pos].0.set_lane(2 * k);
-            rails[pos].1.set_lane(2 * k + 1);
-        }
-        block.set_input_rails(pi, rails[0], rails[1]);
-    }
-    debug_assert!(slot_lanes.next().is_none(), "slots must be in input order");
-    block.propagate_over(circuit, &cone.topo.order);
-    let _ = block.take_kernel_stats();
-    let bad = block.violated_lanes(req);
-    for (k, &(i, pos)) in slots.iter().enumerate() {
-        match (bad.lane(2 * k), bad.lane(2 * k + 1)) {
-            (true, true) => return false,
-            (true, false) => forced.push((i, pos, Value::One)),
-            (false, true) => forced.push((i, pos, Value::Zero)),
-            (false, false) => {}
-        }
-    }
-    true
 }
 
 /// The requirement-independent topology of a fanin cone: the lines of
@@ -1304,8 +1252,8 @@ mod tests {
         // a = 0 violates z on entry. With b open, b reaches the violated
         // line: a fixpoint conflict. With b pinned too, no open slot
         // reaches it: the fixpoint forces c = d = 0, the test is fully
-        // specified, and only the final check fails (unsatisfied). Every
-        // backend and width must reach the same two verdicts.
+        // specified, and only the final check fails (unsatisfied). Both
+        // backends must reach the same two verdicts.
         let mut b = pdf_netlist::CircuitBuilder::new("entry");
         let (a, bb, c, d) = (b.input("a"), b.input("b"), b.input("c"), b.input("d"));
         let z = b.gate("z", pdf_logic::GateKind::And, &[a, bb]);
@@ -1318,11 +1266,8 @@ mod tests {
         req.require(y, Triple::STABLE0).unwrap();
         let reached = [(a, Value::Zero, Value::Zero)];
         let unreached = [(a, Value::Zero, Value::Zero), (bb, Value::One, Value::One)];
-        let mut engines = vec![Justifier::new(&circuit, 5).with_backend(SimBackend::Scalar)];
-        engines.extend(SimWidth::ALL.into_iter().map(|w| {
-            Justifier::new(&circuit, 5).with_options(SimOptions::default().with_width(w))
-        }));
-        for j in &mut engines {
+        for backend in SimBackend::ALL {
+            let mut j = Justifier::new(&circuit, 5).with_backend(backend);
             assert!(j.justify_seeded(&req, &reached).is_none());
             assert_eq!((j.stats().conflicts, j.stats().unsatisfied), (1, 0));
             assert!(j.justify_seeded(&req, &unreached).is_none());
@@ -1496,7 +1441,7 @@ mod tests {
     /// z = AND of five 2-input XOR pairs: the necessary-value fixpoint
     /// assigns nothing (one XOR input alone never violates), and a
     /// satisfying completion is a ≈(1/4)^5 event per candidate, so a
-    /// single 64-lane block almost surely misses and the guided decision
+    /// single 64-candidate group almost surely misses and the guided decision
     /// search must run.
     fn sparse_parity_circuit() -> Circuit {
         let mut b = pdf_netlist::CircuitBuilder::new("sparse");

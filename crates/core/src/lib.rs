@@ -56,10 +56,11 @@ pub use generator::{
 pub use justify::{BranchGuide, Justified, Justifier, JustifyStats};
 pub use target::TargetSplit;
 pub use testset::{Coverage, ParseTestSetError, TestSet};
-// The simulation option block is part of this crate's public API:
-// `TestSet::coverage_with` / `TestSet::minimized_with` and
-// `Justifier::with_options` take it (a bare `SimBackend` converts).
-pub use pdf_sim::{SimBackend, SimOptions, SimWidth};
+// The simulation backend is part of this crate's public API:
+// `TestSet::coverage_with` / `TestSet::minimized_with`,
+// `Justifier::with_backend` and `AtpgConfig::sim` take it. `SimWidth` is
+// re-exported only because `perfbench` reports it.
+pub use pdf_sim::{SimBackend, SimWidth};
 // Run control is part of the public generation API: `AtpgConfig` carries
 // a budget and a checkpoint policy, `run_resumed` consumes a checkpoint.
 pub use pdf_runctl::{

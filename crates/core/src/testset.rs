@@ -9,7 +9,7 @@
 use pdf_faults::FaultList;
 use pdf_netlist::{Circuit, TwoPattern};
 use pdf_runctl::RunBudget;
-use pdf_sim::{SimBackend, SimOptions};
+use pdf_sim::SimBackend;
 
 /// One test in the plain-text interchange line format (`v1 v2`), shared
 /// by [`TestSet::to_text`] and the checkpoint writer.
@@ -98,20 +98,18 @@ impl TestSet {
         self.coverage_with(SimBackend::default(), circuit, faults)
     }
 
-    /// Simulates the whole set against a fault list with explicit
-    /// simulation options (backend and tile width — a bare
-    /// [`SimBackend`] converts). Every combination produces identical
-    /// coverage; the scalar backend exists as a differential-testing
-    /// oracle.
+    /// Simulates the whole set against a fault list on an explicit
+    /// backend. Both produce identical coverage; the scalar backend
+    /// exists as a differential-testing oracle.
     #[must_use]
     pub fn coverage_with(
         &self,
-        opts: impl Into<SimOptions>,
+        backend: SimBackend,
         circuit: &Circuit,
         faults: &FaultList,
     ) -> Coverage {
         Coverage {
-            detected: pdf_sim::coverage_flags(opts, circuit, &self.tests, faults.entries()),
+            detected: pdf_sim::coverage_flags(backend, circuit, &self.tests, faults.entries()),
         }
     }
 }
@@ -130,15 +128,15 @@ impl TestSet {
         self.minimized_with(SimBackend::default(), circuit, faults)
     }
 
-    /// [`TestSet::minimized`] with explicit simulation options.
+    /// [`TestSet::minimized`] on an explicit backend.
     #[must_use]
     pub fn minimized_with(
         &self,
-        opts: impl Into<SimOptions>,
+        backend: SimBackend,
         circuit: &Circuit,
         faults: &FaultList,
     ) -> TestSet {
-        let keep = self.kept_after_sweep(opts, circuit, faults);
+        let keep = self.kept_after_sweep(backend, circuit, faults);
         TestSet {
             tests: self
                 .tests
@@ -158,15 +156,15 @@ impl TestSet {
         self.into_minimized_with(SimBackend::default(), circuit, faults)
     }
 
-    /// [`TestSet::into_minimized`] with explicit simulation options.
+    /// [`TestSet::into_minimized`] on an explicit backend.
     #[must_use]
     pub fn into_minimized_with(
         self,
-        opts: impl Into<SimOptions>,
+        backend: SimBackend,
         circuit: &Circuit,
         faults: &FaultList,
     ) -> TestSet {
-        let keep = self.kept_after_sweep(opts, circuit, faults);
+        let keep = self.kept_after_sweep(backend, circuit, faults);
         TestSet {
             tests: self
                 .tests
@@ -190,26 +188,27 @@ impl TestSet {
     pub fn minimized_within(
         &self,
         budget: &RunBudget,
-        opts: impl Into<SimOptions>,
+        backend: SimBackend,
         circuit: &Circuit,
         faults: &FaultList,
     ) -> (TestSet, bool) {
         if budget.exhausted() {
             return (self.clone(), true);
         }
-        (self.minimized_with(opts, circuit, faults), false)
+        (self.minimized_with(backend, circuit, faults), false)
     }
 
     /// The reverse-order sweep shared by the minimization entry points:
     /// which tests survive, as flags aligned with `self.tests`.
     fn kept_after_sweep(
         &self,
-        opts: impl Into<SimOptions>,
+        backend: SimBackend,
         circuit: &Circuit,
         faults: &FaultList,
     ) -> Vec<bool> {
         let _phase = pdf_telemetry::Span::enter("compact");
-        let per_test = pdf_sim::per_test_detections(opts, circuit, &self.tests, faults.entries());
+        let per_test =
+            pdf_sim::per_test_detections(backend, circuit, &self.tests, faults.entries());
         let mut covered = vec![false; faults.len()];
         let mut keep = vec![false; self.tests.len()];
         for (k, detections) in per_test.iter().enumerate().rev() {

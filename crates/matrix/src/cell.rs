@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use pdf_atpg::{
     AtpgConfig, CancelToken, Checkpoint, CheckpointPolicy, Compaction, EnrichmentAtpg, RunBudget,
-    SimBackend, SimOptions, SimWidth, TargetSplit,
+    SimBackend, TargetSplit,
 };
 use pdf_faults::{FaultList, Sensitization};
 use pdf_netlist::Circuit;
@@ -60,8 +60,6 @@ pub struct CellConfig {
     pub circuit: String,
     /// Simulation engine.
     pub backend: SimBackend,
-    /// Packed tile width.
-    pub width: SimWidth,
     /// Compaction heuristic.
     pub compaction: Compaction,
     /// Number of target sets (`>= 2`; the paper uses 2).
@@ -100,7 +98,6 @@ impl CellConfig {
         CellConfig {
             circuit: "s27".to_owned(),
             backend: SimBackend::Packed,
-            width: SimWidth::W64,
             compaction: Compaction::ValueBased,
             k: 2,
             n_p: 300,
@@ -135,21 +132,13 @@ impl CellConfig {
         }
     }
 
-    /// The options block the cell's throughput axes select.
-    #[must_use]
-    pub fn sim_options(&self) -> SimOptions {
-        SimOptions::default()
-            .with_backend(self.backend)
-            .with_width(self.width)
-    }
-
-    /// A compact one-line label (`b09 packed/w64 values k=2 ...`).
+    /// A compact one-line label (`b09 packed values k=2 ...`).
     #[must_use]
     pub fn label(&self) -> String {
         format!(
             "{} {} {} k={} np={} np0={} learn={} sens={} {} seed={} budget={} faults={}",
             self.circuit,
-            self.sim_options().label(),
+            self.backend.label(),
             self.compaction.label(),
             self.k,
             self.n_p,
@@ -170,7 +159,6 @@ impl CellConfig {
         Json::object()
             .field("circuit", self.circuit.as_str())
             .field("backend", self.backend.label())
-            .field("width", self.width.label())
             .field("compaction", self.compaction.label())
             .field("k", self.k)
             .field("n_p", self.n_p)
@@ -199,13 +187,12 @@ impl CellConfig {
             _ => None,
         };
         let backend = s("backend")?;
-        let width = s("width")?;
         Some(CellConfig {
             circuit: s("circuit")?.to_owned(),
             backend: SimBackend::ALL.into_iter().find(|b| b.label() == backend)?,
-            width: SimWidth::ALL.into_iter().find(|w| w.label() == width)?,
-            // An `events` field from artifacts written while propagation
-            // had an on/off switch is ignored: it never changed results.
+            // `events` and `width` fields from artifacts written while
+            // propagation had an on/off switch and the packed kernel had
+            // several tile widths are ignored: they never changed results.
             compaction: compaction_from_label(s("compaction")?)?,
             k: n("k")? as usize,
             n_p: n("n_p")? as usize,
@@ -246,8 +233,6 @@ pub struct MatrixAxes {
     pub circuits: Vec<String>,
     /// Simulation backends.
     pub backends: Vec<SimBackend>,
-    /// Packed tile widths.
-    pub widths: Vec<SimWidth>,
     /// Compaction heuristics.
     pub compactions: Vec<Compaction>,
     /// Target-set counts.
@@ -275,15 +260,14 @@ pub struct MatrixAxes {
 
 impl MatrixAxes {
     /// The bounded smoke matrix CI runs on every push: tiny circuits,
-    /// every invariant family exercised, 1536 raw cells before sampling.
+    /// every invariant family exercised, 1152 raw cells before sampling.
     #[must_use]
     pub fn smoke() -> MatrixAxes {
         MatrixAxes {
             circuits: vec!["s27".to_owned(), "b09".to_owned()],
             backends: vec![SimBackend::Scalar, SimBackend::Packed],
-            widths: vec![SimWidth::W64, SimWidth::W512],
             compactions: vec![Compaction::Uncompacted, Compaction::ValueBased],
-            ks: vec![2, 3],
+            ks: vec![2, 3, 4],
             n_ps: vec![300],
             n_p0s: vec![60],
             learnings: vec![false, true],
@@ -319,7 +303,6 @@ impl MatrixAxes {
                 "s1196".to_owned(),
             ],
             backends: vec![SimBackend::Scalar, SimBackend::Packed],
-            widths: vec![SimWidth::W64, SimWidth::W256, SimWidth::W512],
             compactions: Compaction::ALL.to_vec(),
             ks: vec![2, 3, 4],
             n_ps: vec![300, 1000],
@@ -351,7 +334,6 @@ impl MatrixAxes {
     pub fn cell_count(&self) -> usize {
         self.circuits.len()
             * self.backends.len()
-            * self.widths.len()
             * self.compactions.len()
             * self.ks.len()
             * self.n_ps.len()
@@ -384,7 +366,6 @@ impl MatrixAxes {
         // the semantic axes.
         let faults = self.faults[take(self.faults.len())].clone();
         let backend = self.backends[take(self.backends.len())];
-        let width = self.widths[take(self.widths.len())];
         let budget_minutes = self.budgets[take(self.budgets.len())];
         let run_mode = self.run_modes[take(self.run_modes.len())];
         let k = self.ks[take(self.ks.len())];
@@ -398,7 +379,6 @@ impl MatrixAxes {
         CellConfig {
             circuit,
             backend,
-            width,
             compaction,
             k,
             n_p,
@@ -557,7 +537,7 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
     let base_config = AtpgConfig {
         seed: cell.seed,
         compaction: cell.compaction,
-        sim: cell.sim_options(),
+        sim: cell.backend,
         budget: budget(),
         learned: learned.clone(),
         ..AtpgConfig::default()
@@ -623,7 +603,7 @@ mod tests {
     fn cross_product_decodes_every_index_exactly_once() {
         let axes = MatrixAxes::smoke();
         let count = axes.cell_count();
-        assert_eq!(count, 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 3);
+        assert_eq!(count, 2 * 2 * 2 * 3 * 2 * 2 * 2 * 2 * 3);
         let mut labels: Vec<String> = (0..count).map(|i| axes.cell(i).label()).collect();
         labels.sort();
         labels.dedup();
@@ -652,12 +632,13 @@ mod tests {
             let cell = axes.cell(i);
             let back = CellConfig::from_json(&cell.to_json()).unwrap();
             assert_eq!(back, cell, "cell {i}");
-            // Artifacts written while the matrix had `events` and
-            // `threads` axes still replay; the fields are ignored.
+            // Artifacts written while the matrix had `events`, `threads`
+            // and `width` axes still replay; the fields are ignored.
             let legacy = cell
                 .to_json()
                 .field("events", false)
-                .field("threads", 4usize);
+                .field("threads", 4usize)
+                .field("width", "512");
             assert_eq!(CellConfig::from_json(&legacy), Some(cell), "cell {i}");
         }
     }

@@ -3,8 +3,8 @@
 //! Each checker consumes the full observation list and yields
 //! [`Violation`]s naming the witnesses. The five families:
 //!
-//! * **ident** — cells that differ only in throughput axes (backend, tile
-//!   width, an unexhausted budget, run mode) must produce byte-identical
+//! * **ident** — cells that differ only in throughput axes (backend, an
+//!   unexhausted budget, run mode) must produce byte-identical
 //!   test text and detection totals.
 //! * **kmono** — under the uncompacted heuristic the generated tests are a
 //!   function of set 0 alone, so cells differing only in `k` must produce
@@ -127,7 +127,7 @@ fn kmono_key(c: &CellConfig) -> String {
         c.learning,
         c.sensitize,
         c.seed,
-        c.sim_options().label(),
+        c.backend.label(),
         c.run_mode.label(),
         faults_component(c)
     )
@@ -145,7 +145,7 @@ fn learning_key(c: &CellConfig) -> String {
         c.n_p0,
         c.sensitize,
         c.seed,
-        c.sim_options().label(),
+        c.backend.label(),
         c.run_mode.label(),
         c.budget_minutes,
         faults_component(c)
@@ -164,7 +164,7 @@ fn sensitize_key(c: &CellConfig) -> String {
         c.n_p0,
         c.learning,
         c.seed,
-        c.sim_options().label(),
+        c.backend.label(),
         c.run_mode.label(),
         c.budget_minutes,
         faults_component(c)

@@ -246,9 +246,8 @@ pub fn minimize(
     let default = CellConfig::default_cell();
     for i in 0..cells.len() {
         type Reset = fn(&mut CellConfig, &CellConfig);
-        let resets: [Reset; 10] = [
+        let resets: [Reset; 9] = [
             |c, _| c.faults = None,
-            |c, d| c.width = d.width,
             |c, d| c.backend = d.backend,
             |c, _| c.budget_minutes = None,
             |c, _| c.run_mode = RunMode::Direct,

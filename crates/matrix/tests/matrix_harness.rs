@@ -9,7 +9,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pdf_matrix::{CellConfig, Invariant, MatrixAxes, MatrixRunner, ReproCase, RunMode};
-use pdf_sim::{SimBackend, SimWidth};
+use pdf_sim::SimBackend;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -35,7 +35,6 @@ fn s27_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar, SimBackend::Packed],
-        widths: vec![SimWidth::W64],
         compactions: vec![
             pdf_atpg::Compaction::Uncompacted,
             pdf_atpg::Compaction::ValueBased,
@@ -88,7 +87,6 @@ fn clean_b09_slice_passes_all_invariants() {
         let axes = MatrixAxes {
             circuits: vec!["b09".to_owned()],
             backends: vec![SimBackend::Scalar, SimBackend::Packed],
-            widths: vec![SimWidth::W64],
             compactions: vec![pdf_atpg::Compaction::Uncompacted],
             ks: vec![2, 3],
             n_ps: vec![300],
@@ -119,7 +117,6 @@ fn corrupted_runner() -> MatrixRunner {
     let axes = MatrixAxes {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar, SimBackend::Packed],
-        widths: vec![SimWidth::W64, SimWidth::W512],
         compactions: vec![pdf_atpg::Compaction::ValueBased],
         ks: vec![2],
         n_ps: vec![300],
@@ -169,12 +166,6 @@ fn injected_failure_minimizes_to_a_deterministic_smallest_repro() {
     assert_eq!(serial_artifacts, parallel_artifacts);
 
     let repro = &serial.repros[0];
-    // Config axes reset toward defaults wherever the failure survives:
-    // the corruption only needs one scalar and one packed cell, so the
-    // width lands on its default.
-    for cell in &repro.cells {
-        assert_eq!(cell.width, SimWidth::W64, "{}", cell.label());
-    }
     // The circuit shrank: the s27 combinational core has 10 gates and 4
     // outputs; a backend-keyed corruption needs almost none of them.
     let bench = repro.bench.as_deref().expect("circuit must be shrinkable");
@@ -213,7 +204,6 @@ fn chaos_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar],
-        widths: vec![SimWidth::W64],
         compactions: vec![pdf_atpg::Compaction::Uncompacted],
         ks: vec![2],
         n_ps: vec![300],
@@ -291,7 +281,6 @@ fn sensitize_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
         backends: vec![SimBackend::Scalar],
-        widths: vec![SimWidth::W64],
         compactions: vec![pdf_atpg::Compaction::Uncompacted],
         ks: vec![2],
         n_ps: vec![300],

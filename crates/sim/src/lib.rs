@@ -5,13 +5,11 @@
 //! fault (paper Sec. 2.1). Both halves are embarrassingly data-parallel,
 //! and this crate exploits that twice over:
 //!
-//! * **bit-level** — [`PackedBlock`] packs one [`SimWord`] tile of tests
-//!   (64, 256 or 512 lanes: `u64`, `[u64; 4]` or `[u64; 8]`) into
-//!   bit-planes (a zero and a one rail per triple component) and
-//!   evaluates every gate for all lanes with a handful of tile
+//! * **bit-level** — [`PackedBlock`] packs one 256-lane [`Tile`] of
+//!   tests into bit-planes (a zero and a one rail per triple component)
+//!   and evaluates every gate for all lanes with a handful of tile
 //!   operations; requirement checks collapse to one `AND` per specified
-//!   component across the whole tile at once. [`SimWidth::auto`] picks
-//!   the tile for the CPU;
+//!   component across the whole tile at once;
 //! * **thread-level** — [`par_chunk_map`] fans test blocks (for
 //!   coverage-style sweeps) and fault chunks (for the per-test drop loop
 //!   of the generator) out over `std::thread::scope` workers, merging
@@ -51,12 +49,12 @@
 mod backend;
 mod packed;
 mod parallel;
-mod word;
+mod tile;
 
-pub use backend::{SimBackend, SimOptions};
-pub use packed::{KernelStats, PackedBlock, LANES};
+pub use backend::SimBackend;
+pub use packed::{KernelStats, PackedBlock};
 pub use parallel::{max_threads, panic_message, par_chunk_map};
-pub use word::{SimWidth, SimWord};
+pub use tile::{SimWidth, Tile};
 
 use pdf_faults::{Assignments, FaultEntry};
 use pdf_logic::Triple;
@@ -107,18 +105,17 @@ fn flush_kernel_stats(parts: impl IntoIterator<Item = KernelStats>) {
     pdf_telemetry::count(pdf_telemetry::counters::LINES_SKIPPED, total.lines_skipped);
 }
 
-/// Width-generic packed coverage sweep: `W::LANES` tests per block,
-/// blocks fanned out over worker threads.
-fn packed_coverage<W: SimWord, T: HasAssignments>(
+/// Packed coverage sweep: [`Tile::LANES`] tests per block, blocks fanned
+/// out over worker threads.
+fn packed_coverage<T: HasAssignments>(
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
 ) -> Vec<bool> {
-    let blocks: Vec<&[TwoPattern]> = tests.chunks(W::LANES).collect();
+    let blocks: Vec<&[TwoPattern]> = tests.chunks(Tile::LANES).collect();
     pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
     let partials = par_chunk_map(&blocks, 1, |_, part| {
-        let mut block = PackedBlock::<W>::new();
+        let mut block = PackedBlock::new();
         let mut local = vec![false; faults.len()];
         for tests_block in part {
             block.load(circuit, tests_block);
@@ -145,21 +142,18 @@ fn packed_coverage<W: SimWord, T: HasAssignments>(
 /// Simulates `tests` against `faults` and returns the per-fault detection
 /// flags — the kernel behind `TestSet::coverage`.
 ///
-/// Accepts a bare [`SimBackend`] or a full [`SimOptions`]; every
-/// backend × width combination returns identical flags. The
-/// packed engine simulates `width` tests per pass and fans blocks out
-/// over worker threads.
+/// Both backends return identical flags. The packed engine simulates
+/// [`Tile::LANES`] tests per pass and fans blocks out over worker threads.
 #[must_use]
 pub fn coverage_flags<T: HasAssignments>(
-    opts: impl Into<SimOptions>,
+    backend: SimBackend,
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
 ) -> Vec<bool> {
-    let opts: SimOptions = opts.into();
     let _phase = pdf_telemetry::Span::enter("simulate");
     pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
-    match opts.backend {
+    match backend {
         SimBackend::Scalar => {
             let mut detected = vec![false; faults.len()];
             let mut triples = Vec::new();
@@ -175,25 +169,20 @@ pub fn coverage_flags<T: HasAssignments>(
             }
             detected
         }
-        SimBackend::Packed => match opts.width {
-            SimWidth::W64 => packed_coverage::<u64, T>(circuit, tests, faults),
-            SimWidth::W256 => packed_coverage::<[u64; 4], T>(circuit, tests, faults),
-            SimWidth::W512 => packed_coverage::<[u64; 8], T>(circuit, tests, faults),
-        },
+        SimBackend::Packed => packed_coverage(circuit, tests, faults),
     }
 }
 
-/// Width-generic packed per-test detection sweep.
-fn packed_per_test<W: SimWord, T: HasAssignments>(
+/// Packed per-test detection sweep.
+fn packed_per_test<T: HasAssignments>(
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
 ) -> Vec<Vec<usize>> {
-    let blocks: Vec<&[TwoPattern]> = tests.chunks(W::LANES).collect();
+    let blocks: Vec<&[TwoPattern]> = tests.chunks(Tile::LANES).collect();
     pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
     let parts = par_chunk_map(&blocks, 1, |_, part| {
-        let mut block = PackedBlock::<W>::new();
+        let mut block = PackedBlock::new();
         let mut out: Vec<Vec<usize>> = Vec::new();
         for tests_block in part {
             block.load(circuit, tests_block);
@@ -201,7 +190,7 @@ fn packed_per_test<W: SimWord, T: HasAssignments>(
             out.extend(tests_block.iter().map(|_| Vec::new()));
             for (i, fault) in faults.iter().enumerate() {
                 let lanes = block.satisfied_lanes(fault.assignments());
-                for k in 0..W::WORDS {
+                for k in 0..Tile::WORDS {
                     let mut w = lanes.word(k);
                     while w != 0 {
                         let lane = k * 64 + w.trailing_zeros() as usize;
@@ -227,15 +216,14 @@ fn packed_per_test<W: SimWord, T: HasAssignments>(
 /// fault order) — the kernel behind static test-set compaction.
 #[must_use]
 pub fn per_test_detections<T: HasAssignments>(
-    opts: impl Into<SimOptions>,
+    backend: SimBackend,
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
 ) -> Vec<Vec<usize>> {
-    let opts: SimOptions = opts.into();
     let _phase = pdf_telemetry::Span::enter("simulate");
     pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
-    match opts.backend {
+    match backend {
         SimBackend::Scalar => {
             let mut triples = Vec::new();
             let mut waves = Vec::new();
@@ -253,11 +241,7 @@ pub fn per_test_detections<T: HasAssignments>(
                 })
                 .collect()
         }
-        SimBackend::Packed => match opts.width {
-            SimWidth::W64 => packed_per_test::<u64, T>(circuit, tests, faults),
-            SimWidth::W256 => packed_per_test::<[u64; 4], T>(circuit, tests, faults),
-            SimWidth::W512 => packed_per_test::<[u64; 8], T>(circuit, tests, faults),
-        },
+        SimBackend::Packed => packed_per_test(circuit, tests, faults),
     }
 }
 
@@ -378,14 +362,16 @@ mod tests {
         let paths = PathEnumerator::new(&c).enumerate();
         let (faults, _) = FaultList::build(&c, &paths.store);
         let n = c.inputs().len();
-        // A deterministic spread of 150 tests (more than two blocks).
-        let tests: Vec<TwoPattern> = (0..150u32)
+        // A deterministic spread of 600 tests: two full blocks plus a
+        // partial one.
+        let tests: Vec<TwoPattern> = (0..600u32)
             .map(|k| {
                 let v1 = (0..n).map(|i| Value::from(k >> i & 1 == 1)).collect();
                 let v2 = (0..n).map(|i| Value::from(k >> (i + 3) & 1 == 0)).collect();
                 TwoPattern::new(v1, v2)
             })
             .collect();
+        assert_eq!(tests.chunks(Tile::LANES).count(), 3);
         (c, faults, tests)
     }
 
@@ -405,26 +391,6 @@ mod tests {
         let packed = per_test_detections(SimBackend::Packed, &c, &tests, faults.entries());
         assert_eq!(scalar.len(), tests.len());
         assert_eq!(scalar, packed);
-    }
-
-    #[test]
-    fn all_widths_agree_with_scalar() {
-        let (c, faults, tests) = setup();
-        let scalar = coverage_flags(SimBackend::Scalar, &c, &tests, faults.entries());
-        let scalar_per = per_test_detections(SimBackend::Scalar, &c, &tests, faults.entries());
-        for width in SimWidth::ALL {
-            let opts = SimOptions::default().with_width(width);
-            assert_eq!(
-                coverage_flags(opts, &c, &tests, faults.entries()),
-                scalar,
-                "width {width}"
-            );
-            assert_eq!(
-                per_test_detections(opts, &c, &tests, faults.entries()),
-                scalar_per,
-                "width {width}"
-            );
-        }
     }
 
     #[test]

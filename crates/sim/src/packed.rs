@@ -1,10 +1,10 @@
 //! The bit-plane packed two-pattern simulation kernel.
 //!
-//! A [`PackedBlock`] simulates up to `W::LANES` two-pattern tests through
-//! a circuit in one topological pass. Every line carries six planes of the
-//! tile type `W` ([`SimWord`]: `u64`, `[u64; 4]` or `[u64; 8]`) — a *zero
-//! rail* and a *one rail* for each of the three triple components
-//! `α1 α2 α3` — with lane `j` of a plane describing test lane `j`:
+//! A [`PackedBlock`] simulates up to [`Tile::LANES`] (256) two-pattern
+//! tests through a circuit in one topological pass. Every line carries six
+//! [`Tile`] planes — a *zero rail* and a *one rail* for each of the three
+//! triple components `α1 α2 α3` — with lane `j` of a plane describing test
+//! lane `j`:
 //!
 //! * zero-rail bit set → the component is a proven `0` for that test,
 //! * one-rail bit set → a proven `1`,
@@ -23,9 +23,9 @@
 //!
 //! Because the scalar triple algebra is exactly component-wise Kleene logic
 //! (see `pdf_logic::GateKind::eval_triples`), a packed pass produces
-//! bit-identical waveforms to `W::LANES` scalar
-//! [`pdf_netlist::simulate_triples`] calls, at any width — the
-//! differential property tests of this crate enforce this.
+//! bit-identical waveforms to `Tile::LANES` scalar
+//! [`pdf_netlist::simulate_triples`] calls — the differential property
+//! tests of this crate enforce this.
 //!
 //! # Event-driven propagation
 //!
@@ -33,7 +33,7 @@
 //! propagation pass that last changed its planes (`changed`) and the pass
 //! that last evaluated it (`checked`), and a pass re-evaluates a line only
 //! when some fanin changed more recently than the line was last checked. The two-rail encoding is what makes
-//! this cheap — "did this line change for any of the `W::LANES` tests"
+//! this cheap — "did this line change for any of the 256 tests"
 //! is a single 6-word plane compare, with no per-lane bookkeeping.
 //!
 //! The stamps survive across blocks, so a justifier hammering the same
@@ -56,54 +56,50 @@ use pdf_faults::Assignments;
 use pdf_logic::{GateKind, Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind, TwoPattern};
 
-use crate::word::SimWord;
-
-/// Number of tests simulated per packed pass at the default `u64` width.
-/// Width-generic code should use `W::LANES` instead.
-pub const LANES: usize = 64;
+use crate::tile::Tile;
 
 /// Six bit-planes of one line: `[α1⁰, α1¹, α2⁰, α2¹, α3⁰, α3¹]` — a zero
 /// and a one rail per triple component.
-type Planes<W> = [W; 6];
+type Planes = [Tile; 6];
 
 #[inline]
-fn and6<W: SimWord>(a: Planes<W>, b: Planes<W>) -> Planes<W> {
+fn and6(a: Planes, b: Planes) -> Planes {
     [
-        a[0].or(b[0]),
-        a[1].and(b[1]),
-        a[2].or(b[2]),
-        a[3].and(b[3]),
-        a[4].or(b[4]),
-        a[5].and(b[5]),
+        a[0] | b[0],
+        a[1] & b[1],
+        a[2] | b[2],
+        a[3] & b[3],
+        a[4] | b[4],
+        a[5] & b[5],
     ]
 }
 
 #[inline]
-fn or6<W: SimWord>(a: Planes<W>, b: Planes<W>) -> Planes<W> {
+fn or6(a: Planes, b: Planes) -> Planes {
     [
-        a[0].and(b[0]),
-        a[1].or(b[1]),
-        a[2].and(b[2]),
-        a[3].or(b[3]),
-        a[4].and(b[4]),
-        a[5].or(b[5]),
+        a[0] & b[0],
+        a[1] | b[1],
+        a[2] & b[2],
+        a[3] | b[3],
+        a[4] & b[4],
+        a[5] | b[5],
     ]
 }
 
 #[inline]
-fn xor6<W: SimWord>(a: Planes<W>, b: Planes<W>) -> Planes<W> {
+fn xor6(a: Planes, b: Planes) -> Planes {
     [
-        (a[0].and(b[0])).or(a[1].and(b[1])),
-        (a[0].and(b[1])).or(a[1].and(b[0])),
-        (a[2].and(b[2])).or(a[3].and(b[3])),
-        (a[2].and(b[3])).or(a[3].and(b[2])),
-        (a[4].and(b[4])).or(a[5].and(b[5])),
-        (a[4].and(b[5])).or(a[5].and(b[4])),
+        (a[0] & b[0]) | (a[1] & b[1]),
+        (a[0] & b[1]) | (a[1] & b[0]),
+        (a[2] & b[2]) | (a[3] & b[3]),
+        (a[2] & b[3]) | (a[3] & b[2]),
+        (a[4] & b[4]) | (a[5] & b[5]),
+        (a[4] & b[5]) | (a[5] & b[4]),
     ]
 }
 
 #[inline]
-fn not6<W: SimWord>(a: Planes<W>) -> Planes<W> {
+fn not6(a: Planes) -> Planes {
     [a[1], a[0], a[3], a[2], a[5], a[4]]
 }
 
@@ -124,7 +120,7 @@ enum OpKind {
 /// with the gate's rail algebra, two-input gates (the overwhelmingly
 /// common case) on a branch-free straight-line path.
 #[inline]
-fn eval_gate<W: SimWord>(planes: &[Planes<W>], kind: GateKind, fanin: &[u32]) -> Planes<W> {
+fn eval_gate(planes: &[Planes], kind: GateKind, fanin: &[u32]) -> Planes {
     let first = planes[fanin[0] as usize];
     let folded = match kind {
         GateKind::And | GateKind::Nand => fanin[1..]
@@ -154,7 +150,8 @@ pub struct KernelStats {
     pub lines_skipped: u64,
 }
 
-/// A reusable arena simulating up to `W::LANES` two-pattern tests at once.
+/// A reusable arena simulating up to [`Tile::LANES`] two-pattern tests at
+/// once.
 ///
 /// # Example
 ///
@@ -169,9 +166,8 @@ pub struct KernelStats {
 ///     TwoPattern::new(vec![Value::Zero; n], vec![Value::One; n]),
 ///     TwoPattern::new(vec![Value::One; n], vec![Value::One; n]),
 /// ];
-/// // The default width is `u64` (64 lanes); `PackedBlock<[u64; 8]>`
-/// // simulates 512 tests per pass with the same results.
-/// let mut block: PackedBlock = PackedBlock::new();
+/// // One block holds up to 256 tests.
+/// let mut block = PackedBlock::new();
 /// block.load(&circuit, &tests);
 ///
 /// // Lane 1 applied stable inputs, so every line is stable.
@@ -181,8 +177,8 @@ pub struct KernelStats {
 /// }
 /// ```
 #[derive(Clone, Debug)]
-pub struct PackedBlock<W: SimWord = u64> {
-    planes: Vec<Planes<W>>,
+pub struct PackedBlock {
+    planes: Vec<Planes>,
     /// Compiled evaluation plan, one op per line: the hot sweep reads
     /// these three flat arrays instead of chasing [`Circuit`]'s per-line
     /// heap structures (fanin `Vec`s, names) through the cache.
@@ -202,12 +198,12 @@ pub struct PackedBlock<W: SimWord = u64> {
     epoch: u64,
     events: u64,
     skipped: u64,
-    loaded: W,
+    loaded: Tile,
     count: usize,
 }
 
-impl<W: SimWord> Default for PackedBlock<W> {
-    fn default() -> PackedBlock<W> {
+impl Default for PackedBlock {
+    fn default() -> PackedBlock {
         PackedBlock {
             planes: Vec::new(),
             kinds: Vec::new(),
@@ -219,17 +215,20 @@ impl<W: SimWord> Default for PackedBlock<W> {
             epoch: 0,
             events: 0,
             skipped: 0,
-            loaded: W::ZERO,
+            loaded: Tile::ZERO,
             count: 0,
         }
     }
 }
 
-impl<W: SimWord> PackedBlock<W> {
+// The hot methods are `#[inline]` so that the justifier and the coverage
+// sweeps (generic over the fault type, so instantiated in the calling
+// crate) can inline them across crates without LTO.
+impl PackedBlock {
     /// Creates an empty event-driven arena; the first
     /// [`PackedBlock::load`] (or [`PackedBlock::begin_block`]) sizes it.
     #[must_use]
-    pub fn new() -> PackedBlock<W> {
+    pub fn new() -> PackedBlock {
         PackedBlock::default()
     }
 
@@ -250,11 +249,12 @@ impl<W: SimWord> PackedBlock<W> {
     /// The mask of valid lanes: bit `j` set iff test `j` is loaded.
     #[inline]
     #[must_use]
-    pub fn lanes(&self) -> W {
+    pub fn lanes(&self) -> Tile {
         self.loaded
     }
 
     /// Drains the event counters accumulated since the last call.
+    #[inline]
     pub fn take_kernel_stats(&mut self) -> KernelStats {
         let stats = KernelStats {
             events_propagated: self.events,
@@ -275,7 +275,7 @@ impl<W: SimWord> PackedBlock<W> {
             return;
         }
         self.planes.clear();
-        self.planes.resize(circuit.line_count(), [W::ZERO; 6]);
+        self.planes.resize(circuit.line_count(), [Tile::ZERO; 6]);
         self.changed.clear();
         self.changed.resize(circuit.line_count(), 0);
         self.checked.clear();
@@ -310,7 +310,7 @@ impl<W: SimWord> PackedBlock<W> {
     /// Overwrites one line's planes, stamping it changed for the upcoming
     /// pass iff the value actually differs.
     #[inline]
-    fn write_line(&mut self, line: LineId, p: Planes<W>) {
+    fn write_line(&mut self, line: LineId, p: Planes) {
         let idx = line.index();
         if self.planes[idx] != p {
             self.planes[idx] = p;
@@ -324,13 +324,14 @@ impl<W: SimWord> PackedBlock<W> {
     ///
     /// # Panics
     ///
-    /// Panics if more than `W::LANES` tests are given, or if a test's
+    /// Panics if more than [`Tile::LANES`] tests are given, or if a test's
     /// width differs from the circuit's input count.
+    #[inline]
     pub fn load(&mut self, circuit: &Circuit, tests: &[TwoPattern]) {
         assert!(
-            tests.len() <= W::LANES,
+            tests.len() <= Tile::LANES,
             "a packed block holds at most {} tests, got {}",
-            W::LANES,
+            Tile::LANES,
             tests.len()
         );
         for test in tests {
@@ -342,7 +343,7 @@ impl<W: SimWord> PackedBlock<W> {
         }
         self.bind(circuit);
         self.count = tests.len();
-        self.loaded = W::low_lanes(tests.len());
+        self.loaded = Tile::low_lanes(tests.len());
 
         // Input planes are rebuilt from zero per load, so they never carry
         // bits outside the loaded lanes — this is what masks partial
@@ -353,13 +354,13 @@ impl<W: SimWord> PackedBlock<W> {
         // input lane bitsets out. It walks tests in the outer loop so each
         // test's two pattern vectors are read once, sequentially, while
         // the per-input accumulator (four raw `u64` rails per input, the
-        // current 64-lane group) stays L1-resident; the wide tile is only
+        // current 64-lane group) stays L1-resident; the tile is only
         // touched once per finished group, via `set_word`. The
         // intermediate component needs no per-lane work at all — its
         // rails are exactly `first & last` ([`Triple::from_patterns`]
         // specifies it only where both pattern values agree).
         let n_inputs = circuit.inputs().len();
-        let mut input_planes: Vec<Planes<W>> = vec![[W::ZERO; 6]; n_inputs];
+        let mut input_planes: Vec<Planes> = vec![[Tile::ZERO; 6]; n_inputs];
         let mut rails: Vec<[u64; 4]> = vec![[0u64; 4]; n_inputs];
         for (group, chunk) in tests.chunks(64).enumerate() {
             for r in rails.iter_mut() {
@@ -394,10 +395,10 @@ impl<W: SimWord> PackedBlock<W> {
         self.propagate(circuit);
     }
 
-    /// Prepares the arena for a full-width block (all `W::LANES` lanes
-    /// valid) whose inputs will be supplied as raw rail words via
+    /// Prepares the arena for a full block (all [`Tile::LANES`] lanes
+    /// valid) whose inputs will be supplied as raw rail tiles via
     /// [`PackedBlock::set_input_rails`] — the entry point of the packed
-    /// justifier, which synthesizes `W::LANES` candidate tests per block
+    /// justifier, which synthesizes its probe and candidate lanes
     /// instead of loading materialized [`TwoPattern`]s.
     ///
     /// Unlike [`PackedBlock::load`] this does **not** clear the planes:
@@ -407,30 +408,32 @@ impl<W: SimWord> PackedBlock<W> {
     /// order covers every line it can observe, so the justifier's
     /// block-per-cone loop stays O(cone), not O(circuit) — and, being
     /// event-driven, O(lines whose rails actually changed).
+    #[inline]
     pub fn begin_block(&mut self, circuit: &Circuit) {
         self.bind(circuit);
-        self.count = W::LANES;
-        self.loaded = W::ONES;
+        self.count = Tile::LANES;
+        self.loaded = Tile::ONES;
     }
 
-    /// Sets the two pattern values of input `line` for all `W::LANES`
-    /// lanes at once. `first` and `last` are `(zero_rail, one_rail)` word
-    /// pairs: bit `j` of a rail proves that value for lane `j`, neither
-    /// bit set means `x`. The intermediate triple component is derived
-    /// exactly as [`Triple::from_patterns`] does — specified only where
-    /// both pattern values agree.
+    /// Sets the two pattern values of input `line` for all
+    /// [`Tile::LANES`] lanes at once. `first` and `last` are
+    /// `(zero_rail, one_rail)` tile pairs: bit `j` of a rail proves that
+    /// value for lane `j`, neither bit set means `x`. The intermediate
+    /// triple component is derived exactly as [`Triple::from_patterns`]
+    /// does — specified only where both pattern values agree.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if a rail pair overlaps — a lane cannot
     /// prove both `0` and `1`.
-    pub fn set_input_rails(&mut self, line: LineId, first: (W, W), last: (W, W)) {
+    #[inline]
+    pub fn set_input_rails(&mut self, line: LineId, first: (Tile, Tile), last: (Tile, Tile)) {
         debug_assert!(
-            first.0.and(first.1).is_zero(),
+            (first.0 & first.1).is_zero(),
             "overlapping first-pattern rails"
         );
         debug_assert!(
-            last.0.and(last.1).is_zero(),
+            (last.0 & last.1).is_zero(),
             "overlapping last-pattern rails"
         );
         self.write_line(
@@ -438,8 +441,8 @@ impl<W: SimWord> PackedBlock<W> {
             [
                 first.0,
                 first.1,
-                first.0.and(last.0),
-                first.1.and(last.1),
+                first.0 & last.0,
+                first.1 & last.1,
                 last.0,
                 last.1,
             ],
@@ -455,6 +458,7 @@ impl<W: SimWord> PackedBlock<W> {
     /// A line is re-evaluated only when some fanin's planes changed after
     /// the line was last checked; untouched regions of the cone cost one
     /// stamp compare per line.
+    #[inline]
     pub fn propagate_over(&mut self, circuit: &Circuit, order: &[LineId]) {
         debug_assert!(
             self.epoch == circuit.epoch() && self.planes.len() == circuit.line_count(),
@@ -534,25 +538,26 @@ impl<W: SimWord> PackedBlock<W> {
     }
 
     /// The lanes whose simulated waveforms satisfy every requirement of
-    /// `req` — the packed equivalent of `W::LANES`
+    /// `req` — the packed equivalent of [`Tile::LANES`]
     /// `Assignments::satisfied_by` calls, one word operation per specified
     /// requirement component. Plane lanes outside the loaded mask are
     /// all-zero by the load-time masking invariant; the initial `loaded`
     /// term only decides the degenerate empty-requirement case.
+    #[inline]
     #[must_use]
-    pub fn satisfied_lanes(&self, req: &Assignments) -> W {
+    pub fn satisfied_lanes(&self, req: &Assignments) -> Tile {
         let mut lanes = self.loaded;
         for (line, tri) in req.iter() {
             let p = &self.planes[line.index()];
             for (c, v) in tri.components().into_iter().enumerate() {
                 match v {
-                    Value::Zero => lanes = lanes.and(p[2 * c]),
-                    Value::One => lanes = lanes.and(p[2 * c + 1]),
+                    Value::Zero => lanes &= p[2 * c],
+                    Value::One => lanes &= p[2 * c + 1],
                     Value::X => {}
                 }
             }
             if lanes.is_zero() {
-                return W::ZERO;
+                return Tile::ZERO;
             }
         }
         lanes
@@ -560,19 +565,20 @@ impl<W: SimWord> PackedBlock<W> {
 
     /// The lanes whose simulated waveforms *violate* some requirement of
     /// `req` (a specified component the lane proves to be the opposite
-    /// value) — the packed equivalent of `W::LANES`
+    /// value) — the packed equivalent of [`Tile::LANES`]
     /// `Assignments::violated_by` calls, as
     /// [`PackedBlock::satisfied_lanes`] is of `satisfied_by`. An `x` lane
     /// component never violates, so unloaded (all-zero) lanes never do.
+    #[inline]
     #[must_use]
-    pub fn violated_lanes(&self, req: &Assignments) -> W {
-        let mut lanes = W::ZERO;
+    pub fn violated_lanes(&self, req: &Assignments) -> Tile {
+        let mut lanes = Tile::ZERO;
         for (line, tri) in req.iter() {
             let p = &self.planes[line.index()];
             for (c, v) in tri.components().into_iter().enumerate() {
                 match v {
-                    Value::Zero => lanes = lanes.or(p[2 * c + 1]),
-                    Value::One => lanes = lanes.or(p[2 * c]),
+                    Value::Zero => lanes |= p[2 * c + 1],
+                    Value::One => lanes |= p[2 * c],
                     Value::X => {}
                 }
             }
@@ -600,10 +606,14 @@ mod tests {
             .collect()
     }
 
-    fn check_matches_scalar_on_s27<W: SimWord>() {
+    #[test]
+    fn matches_scalar_simulation_exhaustively_on_s27() {
+        // Two full blocks plus a partial one.
         let c = iscas::s27();
-        let mut block = PackedBlock::<W>::new();
-        for chunk in exhaustive_two_patterns(c.inputs().len(), 4 * LANES).chunks(W::LANES) {
+        let tests = exhaustive_two_patterns(c.inputs().len(), 2 * Tile::LANES + 100);
+        assert_eq!(tests.chunks(Tile::LANES).count(), 3);
+        let mut block = PackedBlock::new();
+        for chunk in tests.chunks(Tile::LANES) {
             block.load(&c, chunk);
             assert_eq!(block.len(), chunk.len());
             for (lane, t) in chunk.iter().enumerate() {
@@ -612,19 +622,11 @@ mod tests {
                     assert_eq!(
                         block.triple(id, lane),
                         waves[id.index()],
-                        "line {id} lane {lane} width {}",
-                        W::LANES
+                        "line {id} lane {lane}"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn matches_scalar_simulation_exhaustively_on_s27() {
-        check_matches_scalar_on_s27::<u64>();
-        check_matches_scalar_on_s27::<[u64; 4]>();
-        check_matches_scalar_on_s27::<[u64; 8]>();
     }
 
     #[test]
@@ -645,8 +647,8 @@ mod tests {
                 TwoPattern::new(v1, v2)
             })
             .collect();
-        let mut block: PackedBlock = PackedBlock::new();
-        for chunk in tests.chunks(LANES) {
+        let mut block = PackedBlock::new();
+        for chunk in tests.chunks(Tile::LANES) {
             block.load(&c, chunk);
             for (lane, t) in chunk.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
@@ -664,16 +666,17 @@ mod tests {
         let c = iscas::s27();
         let paths = PathEnumerator::new(&c).enumerate();
         let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
-        let tests = exhaustive_two_patterns(c.inputs().len(), 128);
-        let mut block: PackedBlock = PackedBlock::new();
-        for (b, chunk) in tests.chunks(LANES).enumerate() {
+        // Two full blocks plus a partial one.
+        let tests = exhaustive_two_patterns(c.inputs().len(), 2 * Tile::LANES + 37);
+        let mut block = PackedBlock::new();
+        for (b, chunk) in tests.chunks(Tile::LANES).enumerate() {
             block.load(&c, chunk);
             for entry in faults.iter() {
                 let lanes = block.satisfied_lanes(&entry.assignments);
                 for (lane, t) in chunk.iter().enumerate() {
                     let waves = simulate_triples(&c, &t.to_triples());
                     assert_eq!(
-                        lanes >> lane & 1 == 1,
+                        lanes.lane(lane),
                         entry.assignments.satisfied_by(&waves),
                         "block {b} lane {lane} fault {}",
                         entry.assignments
@@ -688,25 +691,28 @@ mod tests {
         let c = iscas::c17();
         let n = c.inputs().len();
         let tests = vec![TwoPattern::new(vec![Value::One; n], vec![Value::One; n]); 3];
-        let mut block: PackedBlock = PackedBlock::new();
+        let mut block = PackedBlock::new();
         block.load(&c, &tests);
-        assert_eq!(block.lanes(), 0b111);
+        assert_eq!(block.lanes(), Tile::low_lanes(3));
         // The empty requirement is satisfied by exactly the loaded lanes.
-        assert_eq!(block.satisfied_lanes(&Assignments::new()), 0b111);
+        assert_eq!(
+            block.satisfied_lanes(&Assignments::new()),
+            Tile::low_lanes(3)
+        );
     }
 
     #[test]
     fn stale_wide_block_does_not_leak_into_partial_reload() {
-        // A full 64-test block followed by a 2-test block on the same
+        // A full 256-test block followed by a 2-test block on the same
         // arena: the partial reload must mask every plane down to its two
         // lanes, even though nothing memsets the arena in between.
         let c = iscas::s27();
-        let full = exhaustive_two_patterns(c.inputs().len(), LANES);
-        let mut block: PackedBlock = PackedBlock::new();
+        let full = exhaustive_two_patterns(c.inputs().len(), Tile::LANES);
+        let mut block = PackedBlock::new();
         block.load(&c, &full);
         let partial = &full[..2];
         block.load(&c, partial);
-        assert_eq!(block.lanes(), 0b11);
+        assert_eq!(block.lanes(), Tile::low_lanes(2));
         for (id, _) in c.iter() {
             for (lane, t) in partial.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
@@ -719,9 +725,8 @@ mod tests {
         let paths = PathEnumerator::new(&c).enumerate();
         let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
         for entry in faults.iter() {
-            assert_eq!(
-                block.satisfied_lanes(&entry.assignments) & !0b11,
-                0,
+            assert!(
+                (block.satisfied_lanes(&entry.assignments) & !Tile::low_lanes(2)).is_zero(),
                 "stale lanes leaked for {}",
                 entry.assignments
             );
@@ -731,8 +736,8 @@ mod tests {
     #[test]
     fn identical_reload_skips_the_whole_circuit() {
         let c = iscas::s27();
-        let tests = exhaustive_two_patterns(c.inputs().len(), LANES);
-        let mut block: PackedBlock = PackedBlock::new();
+        let tests = exhaustive_two_patterns(c.inputs().len(), Tile::LANES);
+        let mut block = PackedBlock::new();
         block.load(&c, &tests);
         let first = block.take_kernel_stats();
         assert!(first.events_propagated > 0);
@@ -755,7 +760,7 @@ mod tests {
     fn arena_reuse_across_circuits_resizes() {
         let big = iscas::s27();
         let small = iscas::c17();
-        let mut block: PackedBlock = PackedBlock::new();
+        let mut block = PackedBlock::new();
         let t27 = exhaustive_two_patterns(big.inputs().len(), 4);
         let t17 = exhaustive_two_patterns(small.inputs().len(), 4);
         block.load(&big, &t27);
@@ -793,7 +798,7 @@ mod tests {
         }
         let b = b.expect("some seed yields an equal line count");
         let tests = exhaustive_two_patterns(4, 16);
-        let mut block: PackedBlock = PackedBlock::new();
+        let mut block = PackedBlock::new();
         block.load(&a, &tests);
         block.load(&b, &tests);
         for (lane, t) in tests.iter().enumerate() {
@@ -810,32 +815,31 @@ mod tests {
         // must equal the same tests loaded as materialized TwoPatterns.
         let c = iscas::s27();
         let n = c.inputs().len();
-        let tests = exhaustive_two_patterns(n, LANES);
-        let mut loaded: PackedBlock = PackedBlock::new();
+        let tests = exhaustive_two_patterns(n, Tile::LANES);
+        let mut loaded = PackedBlock::new();
         loaded.load(&c, &tests);
 
-        let mut railed: PackedBlock = PackedBlock::new();
+        let mut railed = PackedBlock::new();
         railed.begin_block(&c);
         for (pos, &id) in c.inputs().iter().enumerate() {
-            let mut first = (0u64, 0u64);
-            let mut last = (0u64, 0u64);
+            let mut first = (Tile::ZERO, Tile::ZERO);
+            let mut last = (Tile::ZERO, Tile::ZERO);
             for (lane, t) in tests.iter().enumerate() {
-                let bit = 1u64 << lane;
                 match t.first()[pos] {
-                    Value::Zero => first.0 |= bit,
-                    Value::One => first.1 |= bit,
+                    Value::Zero => first.0.set_lane(lane),
+                    Value::One => first.1.set_lane(lane),
                     Value::X => {}
                 }
                 match t.second()[pos] {
-                    Value::Zero => last.0 |= bit,
-                    Value::One => last.1 |= bit,
+                    Value::Zero => last.0.set_lane(lane),
+                    Value::One => last.1.set_lane(lane),
                     Value::X => {}
                 }
             }
             railed.set_input_rails(id, first, last);
         }
         railed.propagate_over(&c, c.topo_order());
-        assert_eq!(railed.lanes(), u64::MAX);
+        assert_eq!(railed.lanes(), Tile::ONES);
         for (id, _) in c.iter() {
             for lane in 0..tests.len() {
                 assert_eq!(railed.triple(id, lane), loaded.triple(id, lane));
@@ -844,18 +848,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 64 tests")]
+    #[should_panic(expected = "at most 256 tests")]
     fn oversized_block_panics() {
         let c = iscas::c17();
         let n = c.inputs().len();
-        let tests = vec![TwoPattern::unspecified(n); LANES + 1];
-        PackedBlock::<u64>::new().load(&c, &tests);
+        let tests = vec![TwoPattern::unspecified(n); Tile::LANES + 1];
+        PackedBlock::new().load(&c, &tests);
     }
 
     #[test]
     #[should_panic(expected = "one value per primary input")]
     fn wrong_width_panics() {
         let c = iscas::c17();
-        PackedBlock::<u64>::new().load(&c, &[TwoPattern::unspecified(1)]);
+        PackedBlock::new().load(&c, &[TwoPattern::unspecified(1)]);
     }
 }

@@ -1,7 +1,7 @@
 //! Differential oracle: the packed bit-plane kernel must be bit-for-bit
 //! equivalent to the scalar triple simulator on random circuits — same
-//! waveforms, same satisfied requirements, same coverage flags — at every
-//! tile width (64/256/512 lanes).
+//! waveforms, same satisfied requirements, same coverage flags — on test
+//! sets that fill one 256-lane tile, part of one, or more than one.
 
 use proptest::prelude::*;
 
@@ -9,7 +9,7 @@ use pdf_faults::FaultList;
 use pdf_logic::Value;
 use pdf_netlist::{simulate_triples, Circuit, SynthProfile, TwoPattern};
 use pdf_paths::PathEnumerator;
-use pdf_sim::{PackedBlock, SimBackend, SimOptions, SimWidth, SimWord, LANES};
+use pdf_sim::{PackedBlock, SimBackend, Tile};
 
 fn arb_circuit() -> impl Strategy<Value = Circuit> {
     // `redundant` injects the `+r` stand-in redundancy gadgets: untestable
@@ -36,7 +36,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
 fn arb_tests(inputs: usize) -> impl Strategy<Value = Vec<TwoPattern>> {
     proptest::collection::vec(
         proptest::collection::vec((arb_value(), arb_value()), inputs),
-        1..(LANES + 10),
+        1..(Tile::LANES + Tile::LANES / 2),
     )
     .prop_map(|tests| {
         tests
@@ -51,11 +51,11 @@ fn arb_tests(inputs: usize) -> impl Strategy<Value = Vec<TwoPattern>> {
     })
 }
 
-/// Loads `tests` into a `W`-tile block (chunked) and checks every lane's
+/// Loads `tests` into a block (chunked) and checks every lane's
 /// waveforms against the scalar simulator.
-fn check_waveforms<W: SimWord>(c: &Circuit, tests: &[TwoPattern]) -> Result<(), TestCaseError> {
-    let mut block: PackedBlock<W> = PackedBlock::new();
-    for chunk in tests.chunks(W::LANES) {
+fn check_waveforms(c: &Circuit, tests: &[TwoPattern]) -> Result<(), TestCaseError> {
+    let mut block = PackedBlock::new();
+    for chunk in tests.chunks(Tile::LANES) {
         block.load(c, chunk);
         for (lane, t) in chunk.iter().enumerate() {
             let waves = simulate_triples(c, &t.to_triples());
@@ -63,10 +63,9 @@ fn check_waveforms<W: SimWord>(c: &Circuit, tests: &[TwoPattern]) -> Result<(), 
                 prop_assert_eq!(
                     block.triple(id, lane),
                     waves[id.index()],
-                    "line {} lane {} width {}",
+                    "line {} lane {}",
                     id,
-                    lane,
-                    W::LANES
+                    lane
                 );
             }
         }
@@ -74,17 +73,17 @@ fn check_waveforms<W: SimWord>(c: &Circuit, tests: &[TwoPattern]) -> Result<(), 
     Ok(())
 }
 
-/// Loads `tests` into a `W`-tile block (chunked) and checks, per lane,
+/// Loads `tests` into a block (chunked) and checks, per lane,
 /// `violated_lanes` against the scalar `violated_by` for every fault's
 /// requirements. Lanes beyond a partial chunk must never report a
 /// violation.
-fn check_violated_lanes<W: SimWord>(
+fn check_violated_lanes(
     c: &Circuit,
     tests: &[TwoPattern],
     faults: &FaultList,
 ) -> Result<(), TestCaseError> {
-    let mut block: PackedBlock<W> = PackedBlock::new();
-    for chunk in tests.chunks(W::LANES) {
+    let mut block = PackedBlock::new();
+    for chunk in tests.chunks(Tile::LANES) {
         block.load(c, chunk);
         let waves: Vec<_> = chunk
             .iter()
@@ -92,16 +91,15 @@ fn check_violated_lanes<W: SimWord>(
             .collect();
         for entry in faults.iter() {
             let lanes = block.violated_lanes(&entry.assignments);
-            for lane in 0..W::LANES {
+            for lane in 0..Tile::LANES {
                 let expected = waves
                     .get(lane)
                     .is_some_and(|w| entry.assignments.violated_by(w));
                 prop_assert_eq!(
                     lanes.lane(lane),
                     expected,
-                    "lane {} width {} requirements {}",
+                    "lane {} requirements {}",
                     lane,
-                    W::LANES,
                     &entry.assignments
                 );
             }
@@ -120,9 +118,7 @@ proptest! {
             (Just(c), arb_tests(n))
         })
     ) {
-        check_waveforms::<u64>(&c, &tests)?;
-        check_waveforms::<[u64; 4]>(&c, &tests)?;
-        check_waveforms::<[u64; 8]>(&c, &tests)?;
+        check_waveforms(&c, &tests)?;
     }
 
     #[test]
@@ -142,16 +138,12 @@ proptest! {
         let scalar_per = pdf_sim::per_test_detections(
             SimBackend::Scalar, &c, &tests, faults.entries());
 
-        // Every tile width must reproduce the oracle exactly.
-        for width in SimWidth::ALL {
-            let opts = SimOptions::default().with_width(width);
-            let packed = pdf_sim::coverage_flags(
-                opts, &c, &tests, faults.entries());
-            prop_assert_eq!(&scalar, &packed, "coverage, width {}", width);
-            let packed_per = pdf_sim::per_test_detections(
-                opts, &c, &tests, faults.entries());
-            prop_assert_eq!(&scalar_per, &packed_per, "per-test, width {}", width);
-        }
+        let packed = pdf_sim::coverage_flags(
+            SimBackend::Packed, &c, &tests, faults.entries());
+        prop_assert_eq!(&scalar, &packed, "coverage");
+        let packed_per = pdf_sim::per_test_detections(
+            SimBackend::Packed, &c, &tests, faults.entries());
+        prop_assert_eq!(&scalar_per, &packed_per, "per-test");
     }
 
     #[test]
@@ -165,49 +157,25 @@ proptest! {
         let (faults, _) = FaultList::build(&c, &paths.store);
         prop_assume!(!faults.is_empty());
 
-        let mut block: PackedBlock = PackedBlock::new();
-        let chunk = &tests[..tests.len().min(LANES)];
-        block.load(&c, chunk);
-        for entry in faults.iter() {
-            let lanes = block.satisfied_lanes(&entry.assignments);
-            for (lane, t) in chunk.iter().enumerate() {
-                let waves = simulate_triples(&c, &t.to_triples());
-                prop_assert_eq!(
-                    lanes >> lane & 1 == 1,
-                    entry.assignments.satisfied_by(&waves)
-                );
+        let mut block = PackedBlock::new();
+        for chunk in tests.chunks(Tile::LANES) {
+            block.load(&c, chunk);
+            for entry in faults.iter() {
+                let lanes = block.satisfied_lanes(&entry.assignments);
+                for (lane, t) in chunk.iter().enumerate() {
+                    let waves = simulate_triples(&c, &t.to_triples());
+                    prop_assert_eq!(
+                        lanes.lane(lane),
+                        entry.assignments.satisfied_by(&waves),
+                        "lane {}", lane
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn wide_satisfied_lanes_agree_with_scalar_requirement_check(
-        (c, tests) in arb_circuit().prop_flat_map(|c| {
-            let n = c.inputs().len();
-            (Just(c), arb_tests(n))
-        })
-    ) {
-        let paths = PathEnumerator::new(&c).with_cap(64).enumerate();
-        let (faults, _) = FaultList::build(&c, &paths.store);
-        prop_assume!(!faults.is_empty());
-
-        let mut block: PackedBlock<[u64; 8]> = PackedBlock::new();
-        block.load(&c, &tests);
-        for entry in faults.iter() {
-            let lanes = block.satisfied_lanes(&entry.assignments);
-            for (lane, t) in tests.iter().enumerate() {
-                let waves = simulate_triples(&c, &t.to_triples());
-                prop_assert_eq!(
-                    lanes.lane(lane),
-                    entry.assignments.satisfied_by(&waves),
-                    "lane {}", lane
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn violated_lanes_agree_with_scalar_violated_by_at_every_width(
+    fn violated_lanes_agree_with_scalar_violated_by(
         (c, tests) in arb_circuit().prop_flat_map(|c| {
             let n = c.inputs().len();
             (Just(c), arb_tests(n))
@@ -218,8 +186,6 @@ proptest! {
         let paths = PathEnumerator::new(&c).with_cap(64).enumerate();
         let (faults, _) = FaultList::build(&c, &paths.store);
         prop_assume!(!faults.is_empty());
-        check_violated_lanes::<u64>(&c, &tests, &faults)?;
-        check_violated_lanes::<[u64; 4]>(&c, &tests, &faults)?;
-        check_violated_lanes::<[u64; 8]>(&c, &tests, &faults)?;
+        check_violated_lanes(&c, &tests, &faults)?;
     }
 }

@@ -72,7 +72,7 @@ pub mod counters {
     /// Whole-sweep simulation passes (coverage, per-test detection, and
     /// the generator's drop loop).
     pub const SIM_PASSES: &str = "sim_passes";
-    /// 64-lane blocks simulated by the packed kernel.
+    /// 256-lane blocks simulated by the packed kernel.
     pub const PACKED_BLOCKS: &str = "packed_blocks";
     /// Paths evicted from the capped enumeration store.
     pub const STORE_EVICTIONS: &str = "store_evictions";
@@ -82,7 +82,8 @@ pub mod counters {
     pub const FANOUT_INLINE: &str = "fanout_inline";
     /// Randomized justification attempts beyond the first per call.
     pub const JUSTIFY_RETRIES: &str = "justify_retries";
-    /// 64-lane random-completion blocks evaluated by the packed justifier.
+    /// Random-completion passes (up to four 64-candidate groups each)
+    /// evaluated by the packed justifier.
     pub const JUSTIFY_PACKED_BLOCKS: &str = "justify_packed_blocks";
     /// Justification calls resolved by a random-completion lane (either
     /// backend; the lane index is the witness).
@@ -105,9 +106,6 @@ pub mod counters {
     pub const STATICALLY_ELIMINATED: &str = "statically_eliminated";
     /// Error-severity diagnostics reported by the structural linter.
     pub const LINT_ERRORS: &str = "lint_errors";
-    /// Widest packed-kernel tile used this run, in lanes (recorded with
-    /// [`record_max`](crate::record_max), not summed).
-    pub const SIM_WIDTH: &str = "sim_width";
     /// Lines actually (re-)evaluated by event-driven propagation passes.
     pub const EVENTS_PROPAGATED: &str = "events_propagated";
     /// Lines visited but skipped by event-driven propagation because no
@@ -313,20 +311,6 @@ pub fn count(name: &'static str, n: u64) {
     let mut s = lock();
     match s.counters.iter_mut().find(|(k, _)| *k == name) {
         Some((_, v)) => *v = v.saturating_add(n),
-        None => s.counters.push((name, n)),
-    }
-}
-
-/// Raises the named counter to at least `n` (for gauge-style values such
-/// as the selected simulation width, where summing increments would be
-/// meaningless). A no-op single branch when recording is off.
-pub fn record_max(name: &'static str, n: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut s = lock();
-    match s.counters.iter_mut().find(|(k, _)| *k == name) {
-        Some((_, v)) => *v = (*v).max(n),
         None => s.counters.push((name, n)),
     }
 }
@@ -693,21 +677,6 @@ mod tests {
             "counters never regress"
         );
         assert_eq!(r.counter("never"), None);
-    }
-
-    #[test]
-    fn record_max_keeps_the_high_water_mark() {
-        let _guard = serialized();
-        let _ = begin_recording();
-        record_max(counters::SIM_WIDTH, 64);
-        record_max(counters::SIM_WIDTH, 512);
-        record_max(counters::SIM_WIDTH, 256);
-        disable();
-        assert_eq!(report().counter(counters::SIM_WIDTH), Some(512));
-        reset();
-        disable();
-        record_max("ignored", 7);
-        assert_eq!(report().counter("ignored"), None);
     }
 
     #[test]
